@@ -173,11 +173,15 @@ class Tensor:
     # ---- elementwise functions ----
 
     def exp(self):
-        out = Tensor(np.exp(self.data))
+        # Backward closures capture out.data, not out: out -> _backward -> out
+        # would be a reference cycle that keeps the tape alive until the
+        # cyclic collector runs.
+        value = np.exp(self.data)
+        out = Tensor(value)
 
         def bw(g):
             if self.requires_grad:
-                self._accum(g * out.data)
+                self._accum(g * value)
 
         return out._track((self,), bw)
 
@@ -191,11 +195,12 @@ class Tensor:
         return out._track((self,), bw)
 
     def tanh(self):
-        out = Tensor(np.tanh(self.data))
+        value = np.tanh(self.data)
+        out = Tensor(value)
 
         def bw(g):
             if self.requires_grad:
-                self._accum(g * (1.0 - out.data * out.data))
+                self._accum(g * (1.0 - value * value))
 
         return out._track((self,), bw)
 
@@ -279,11 +284,12 @@ def concat(tensors, axis: int = -1) -> Tensor:
 
 def sigmoid(t: Tensor) -> Tensor:
     t = as_tensor(t)
-    out = Tensor(1.0 / (1.0 + np.exp(-t.data)))
+    value = 1.0 / (1.0 + np.exp(-t.data))
+    out = Tensor(value)
 
     def bw(g):
         if t.requires_grad:
-            t._accum(g * out.data * (1.0 - out.data))
+            t._accum(g * value * (1.0 - value))
 
     return out._track((t,), bw)
 

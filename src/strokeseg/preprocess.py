@@ -29,8 +29,10 @@ def normalize_sketch(sketch: Sketch, extent: float = 255.0) -> Sketch:
     hi = pts.max()
     if hi - lo <= 0:
         raise ValueError("degenerate sketch: all coordinates identical")
-    scale = extent / (hi - lo)
-    strokes = [Stroke(points=(s.points - lo) * scale, label=s.label)
+    # Divide before scaling: (hi - lo) / (hi - lo) is exactly 1, so the
+    # maximum lands on extent exactly; a precomputed extent / (hi - lo)
+    # factor can round past it.
+    strokes = [Stroke(points=(s.points - lo) / (hi - lo) * extent, label=s.label)
                for s in sketch.strokes]
     return Sketch(strokes=strokes, category=sketch.category)
 

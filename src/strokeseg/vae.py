@@ -19,7 +19,7 @@ from .autodiff import Tensor, as_tensor, concat
 from .mixture import MixtureParams, RawMixture, mixture_nll, split_params, transform_params, apply_temperature, sample_point
 from .offsets import PEN_DRAW, START_ROW, StrokeBatch, augment_scale, make_stroke_batches, to_offsets
 from .optim import AdamState, adam_update, clip_gradients
-from .recurrent import LstmParams, lstm_step, run_lstm, xavier_init
+from .recurrent import LstmParams, lstm_sequence, lstm_step, run_lstm, xavier_init
 from .sketch import Sketch, Stroke
 
 __all__ = [
@@ -202,16 +202,13 @@ def decode_teacher_forced(m: VaeModel, z, seq, params: dict | None = None,
         z = z.reshape((1, z.shape[0]))
     b, length, _ = seq.shape
     prev = np.concatenate([np.tile(START_ROW, (b, 1, 1)), seq[:, :-1, :]], axis=1)
-    dec = LstmParams.from_dict(tp, "dec")
-    h, c = init_decoder(m, z, tp)
-    ys = []
+    h0, c0 = init_decoder(m, z, tp)
+    hc = lstm_sequence(LstmParams.from_dict(tp, "dec"), prev, dropout_mask=dropout_mask,
+                       inputs_extra=z, h0=h0, c0=c0)
+    d = m.config.dec_hidden
     k = 6 * m.config.num_mixtures + 3
-    for t in range(length):
-        x_t = concat([as_tensor(prev[:, t, :]), z], axis=1)
-        h, c = lstm_step(dec, x_t, h, c, dropout_mask)
-        y_t = h @ tp["w_y"] + tp["b_y"]
-        ys.append(y_t.reshape((b, 1, k)))
-    y = concat(ys, axis=1)
+    hs = hc[:, :, :d].reshape((b * length, d))
+    y = (hs @ tp["w_y"] + tp["b_y"]).reshape((b, length, k))
     if single:
         y = y.reshape((length, k))
     return split_params(y, m.config.num_mixtures)

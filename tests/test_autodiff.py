@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -171,3 +173,17 @@ def test_deep_chain_does_not_hit_recursion_limit():
         y = y + 0.0
     y.backward()
     npt.assert_allclose(x.grad, 1.0)
+
+
+def test_backward_leaves_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        x = Tensor(np.linspace(-1.0, 1.0, 6), requires_grad=True)
+        loss = (sigmoid(x.exp()).tanh() * x).sum()
+        loss.backward()
+        assert x.grad is not None
+        del x, loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

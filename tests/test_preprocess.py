@@ -159,3 +159,13 @@ def test_preprocess_errors_when_nothing_survives():
     sk = _sketch([[0.0, 100.0], [1.0, 100.0]])
     with pytest.raises(ValueError):
         preprocess_sketch(sk)
+
+
+def test_normalize_hits_both_ends_exactly():
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        strokes = [rng.uniform(-1e3, 1e3, size=(int(rng.integers(2, 12)), 2))
+                   * rng.uniform(1e-3, 1e2) for _ in range(int(rng.integers(1, 4)))]
+        pts = normalize_sketch(Sketch(strokes=[Stroke(points=s) for s in strokes])).all_points()
+        assert pts.min() == 0.0
+        assert pts.max() == 255.0

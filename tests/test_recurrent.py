@@ -4,7 +4,10 @@ import pytest
 
 from strokeseg.autodiff import Tensor
 from strokeseg.gradcheck import finite_difference_check
-from strokeseg.recurrent import LstmParams, layer_norm, lstm_step, run_lstm, xavier_init
+from strokeseg.recurrent import (LstmParams, layer_norm, lstm_sequence, lstm_step, run_lstm,
+                                 xavier_init)
+
+from tape_lstm import tape_lstm_sequence
 
 
 def test_xavier_bounds_and_spread():
@@ -163,3 +166,70 @@ def test_lstm_step_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         lstm_step(tp, Tensor(np.ones((2, 5))), Tensor(np.zeros((2, 4))),
                   Tensor(np.zeros((2, 4))))
+
+
+def _oracle_case(seed, length, with_mask, with_dropout, with_extra, with_state):
+    rng = np.random.default_rng(seed)
+    b, d, e, n = 3, 4, 2, 5
+    p = LstmParams.init(d + (e if with_extra else 0), n, rng)
+    p.b[:] = rng.normal(scale=0.3, size=p.b.shape)
+    for name in ("ln_gi", "ln_gf", "ln_gg", "ln_go", "ln_gc"):
+        getattr(p, name)[:] = rng.uniform(0.5, 1.5, size=n)
+    for name in ("ln_bi", "ln_bf", "ln_bg", "ln_bo", "ln_bc"):
+        getattr(p, name)[:] += rng.normal(scale=0.3, size=n)
+    inputs = {"xs": rng.standard_normal((b, length, d))}
+    if with_extra:
+        inputs["extra"] = rng.standard_normal((b, e))
+    if with_state:
+        inputs["h0"] = rng.standard_normal((b, n))
+        inputs["c0"] = rng.standard_normal((b, n))
+    mask = None
+    if with_mask:
+        mask = np.ones((b, length))
+        mask[0, max(1, length // 2):] = 0.0
+        mask[2, length - 1:] = 0.0
+    drop = (rng.random((b, n)) < 0.7) / 0.7 if with_dropout else None
+    weights = rng.standard_normal((b, length, 2 * n))
+    return p, inputs, mask, drop, weights
+
+
+def _run_with_grads(fn, p, inputs, mask, drop, weights):
+    tp = _tensor_params(p)
+    ts = {k: Tensor(v, requires_grad=True) for k, v in inputs.items()}
+    out = fn(tp, ts["xs"], mask=mask, dropout_mask=drop, inputs_extra=ts.get("extra"),
+             h0=ts.get("h0"), c0=ts.get("c0"))
+    (out * weights).sum().backward()
+    grads = {k: t.grad for k, t in tp.to_dict("c").items()}
+    grads.update({k: t.grad for k, t in ts.items()})
+    return out.data, grads
+
+
+@pytest.mark.parametrize("length,with_mask,with_dropout,with_extra,with_state", [
+    (6, False, False, False, False),
+    (6, True, False, False, False),
+    (6, False, True, False, False),
+    (6, False, False, True, False),
+    (6, False, False, False, True),
+    (7, True, True, True, True),
+    (1, True, True, True, True),
+    (1, False, False, False, False),
+])
+def test_lstm_sequence_matches_tape_oracle(length, with_mask, with_dropout,
+                                           with_extra, with_state):
+    case = _oracle_case(10 + length, length, with_mask, with_dropout, with_extra, with_state)
+    fused, fused_grads = _run_with_grads(lstm_sequence, *case)
+    ref, ref_grads = _run_with_grads(tape_lstm_sequence, *case)
+    npt.assert_allclose(fused, ref, rtol=1e-10, atol=1e-12)
+    assert fused_grads.keys() == ref_grads.keys()
+    for k, g in ref_grads.items():
+        assert fused_grads[k] is not None, k
+        scale = np.abs(g).max()
+        npt.assert_allclose(fused_grads[k], g, rtol=1e-10, atol=1e-10 * scale, err_msg=k)
+
+
+def test_lstm_sequence_keeps_no_tape_without_grad():
+    rng = np.random.default_rng(11)
+    p = LstmParams.init(3, 4, rng)
+    out = lstm_sequence(p, rng.standard_normal((2, 5, 3)))
+    assert out.shape == (2, 5, 8)
+    assert not out.requires_grad and out._backward is None

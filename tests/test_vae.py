@@ -10,6 +10,7 @@ from strokeseg.vae import (VaeConfig, VaeModel, decode_sample,
                            reverse_valid, sample_latent, total_loss, train)
 from oracles import kl_gaussian_ref, kl_monte_carlo
 from synthdata import toy_strokes
+from tape_lstm import count_tape_nodes
 
 
 TINY = VaeConfig(enc_hidden=4, dec_hidden=8, num_mixtures=2, latent_size=3,
@@ -255,3 +256,14 @@ def test_reconstruct_sketch_preserves_stroke_count():
     for s in out.strokes:
         assert len(s.points) >= 2
         assert np.all(np.isfinite(s.points))
+
+
+def test_tape_size_does_not_grow_with_sequence_length():
+    m = _model()
+    counts = {}
+    for steps in (9, 39):
+        batch = _batch([_line_sketch(steps=steps), _line_sketch(dx=1.0, steps=4)])
+        total, _ = total_loss(m, batch, step=0, params=m.tensors(requires_grad=True))
+        counts[batch.sequences.shape[1]] = count_tape_nodes(total)
+    assert set(counts) == {10, 40}
+    assert counts[10] == counts[40] < 300
