@@ -181,12 +181,16 @@ def cmd_reconstruct(args, argv) -> int:
     return 0
 
 
-def _seg_feature_fn(variant: str, encoder: VaeModel | None):
+def _seg_feature_fn(variant: str, encoder: VaeModel | None, sketches):
     if variant == "nn":
         if encoder is None:
             raise ValueError("feature 'nn' needs --encoder")
-        return lambda sk, st: extract_feature(encoder, st)
-    return lambda sk, st: segmentation_feature(sk, st, NORMALIZED_CANVAS, variant)
+        fn = lambda sk, st: extract_feature(encoder, st)
+    else:
+        fn = lambda sk, st: segmentation_feature(sk, st, NORMALIZED_CANVAS, variant)
+    # each stroke's feature once, shared by every fold, sweep size and final fit
+    table = {id(st): fn(sk, st) for sk in sketches for st in sk.strokes}
+    return lambda sk, st: table[id(st)]
 
 
 def _seg_dataset(sketches, feature_fn, classes):
@@ -235,7 +239,7 @@ def _run_segmentation(args, argv, command: str) -> int:
     if args.encoder:
         encoder = load_checkpoint(_resolve_data(args.encoder))[0]
         inputs.append(_resolve_data(args.encoder))
-    feature_fn = _seg_feature_fn(args.feature, encoder)
+    feature_fn = _seg_feature_fn(args.feature, encoder, sketches)
     config = SegConfig(epochs=args.epochs)
     rng = np.random.default_rng(args.seed)
     report = cross_validate(sketches, args.folds,

@@ -16,7 +16,7 @@ from .autodiff import Tensor, as_tensor, log_softmax, logsumexp
 
 __all__ = [
     "RawMixture", "MixtureParams", "split_params", "transform_params",
-    "bivariate_pdf", "mixture_nll", "pen_cross_entropy", "apply_temperature",
+    "bivariate_pdf", "mixture_nll", "apply_temperature",
     "sample_point", "NLL_FLOOR",
 ]
 
@@ -46,25 +46,26 @@ class RawMixture:
 class MixtureParams:
     """Constrained mixture parameters.
 
-    pi and q are probability vectors; log_pi and log_q are the same values
-    kept in the log domain for stable likelihood evaluation.
+    Mixture weights and pen probabilities are kept in the log domain
+    (log_pi, log_q) for stable likelihood evaluation; pi and q read them
+    back as probability vectors.
     """
 
-    pi: object
+    log_pi: Tensor
     mu_x: object
     mu_y: object
     sigma_x: object
     sigma_y: object
     rho: object
-    q: object
-    log_pi: object = None
-    log_q: object = None
+    log_q: Tensor
 
-    def __post_init__(self):
-        if self.log_pi is None:
-            self.log_pi = as_tensor(np.log(np.maximum(_np(self.pi), np.finfo(np.float64).tiny)))
-        if self.log_q is None:
-            self.log_q = as_tensor(np.log(np.maximum(_np(self.q), np.finfo(np.float64).tiny)))
+    @property
+    def pi(self) -> Tensor:
+        return self.log_pi.exp()
+
+    @property
+    def q(self) -> Tensor:
+        return self.log_q.exp()
 
 
 def split_params(y, num_mixtures: int) -> RawMixture:
@@ -94,18 +95,14 @@ def transform_params(raw: RawMixture) -> MixtureParams:
                  "rho_hat", "q_hat"):
         if not np.all(np.isfinite(_np(getattr(raw, name)))):
             raise ValueError(f"non-finite raw mixture values in {name}")
-    log_pi = log_softmax(as_tensor(raw.pi_hat), axis=-1)
-    log_q = log_softmax(as_tensor(raw.q_hat), axis=-1)
     return MixtureParams(
-        pi=log_pi.exp(),
+        log_pi=log_softmax(as_tensor(raw.pi_hat), axis=-1),
         mu_x=as_tensor(raw.mu_x),
         mu_y=as_tensor(raw.mu_y),
         sigma_x=as_tensor(raw.sigma_x_hat).exp(),
         sigma_y=as_tensor(raw.sigma_y_hat).exp(),
         rho=as_tensor(raw.rho_hat).tanh(),
-        q=log_q.exp(),
-        log_pi=log_pi,
-        log_q=log_q,
+        log_q=log_softmax(as_tensor(raw.q_hat), axis=-1),
     )
 
 
@@ -151,18 +148,6 @@ def mixture_nll(params: MixtureParams, dx, dy) -> Tensor:
     return (as_tensor(NLL_FLOOR) - nll).relu() * -1.0 + NLL_FLOOR
 
 
-def pen_cross_entropy(q, p) -> np.ndarray:
-    """Cross entropy -sum(p * log q) with the log floored; plain numpy.
-
-    `q` is a (..., 3) probability vector, `p` the (..., 3) one-hot target.
-    Training uses the log-domain path inside the sequence loss; this is the
-    reference evaluation.
-    """
-    q = np.maximum(_np(q), np.finfo(np.float64).tiny)
-    p = _np(p)
-    return -(p * np.log(q)).sum(axis=-1)
-
-
 def apply_temperature(raw: RawMixture, params: MixtureParams, tau: float) -> MixtureParams:
     """Temper the sampling distribution.
 
@@ -172,19 +157,15 @@ def apply_temperature(raw: RawMixture, params: MixtureParams, tau: float) -> Mix
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must be in (0, 1]")
-    log_pi = log_softmax(as_tensor(_np(raw.pi_hat) / tau), axis=-1)
-    log_q = log_softmax(as_tensor(_np(raw.q_hat) / tau), axis=-1)
     root_tau = np.sqrt(tau)
     return MixtureParams(
-        pi=log_pi.exp(),
+        log_pi=log_softmax(as_tensor(_np(raw.pi_hat) / tau), axis=-1),
         mu_x=as_tensor(_np(params.mu_x)),
         mu_y=as_tensor(_np(params.mu_y)),
         sigma_x=as_tensor(_np(params.sigma_x) * root_tau),
         sigma_y=as_tensor(_np(params.sigma_y) * root_tau),
         rho=as_tensor(_np(params.rho)),
-        q=log_q.exp(),
-        log_pi=log_pi,
-        log_q=log_q,
+        log_q=log_softmax(as_tensor(_np(raw.q_hat) / tau), axis=-1),
     )
 
 

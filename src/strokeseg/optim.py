@@ -27,15 +27,19 @@ class AdamState:
 
 def adam_update(params: dict, grads: dict, state: AdamState, lr: float,
                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One Adam step, in place on `params`."""
+    """One Adam step, in place on the arrays of `params` and `state`, in the
+    textbook operation order."""
     state.t += 1
     t = state.t
     for k, g in grads.items():
         if k not in state.m:
             state.m[k] = np.zeros_like(params[k])
             state.v[k] = np.zeros_like(params[k])
-        state.m[k] = beta1 * state.m[k] + (1.0 - beta1) * g
-        state.v[k] = beta2 * state.v[k] + (1.0 - beta2) * g * g
-        m_hat = state.m[k] / (1.0 - beta1 ** t)
-        v_hat = state.v[k] / (1.0 - beta2 ** t)
-        params[k] = params[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m, v = state.m[k], state.v[k]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        denom = np.sqrt(v / (1.0 - beta2 ** t))
+        denom += eps
+        params[k] -= lr * (m / (1.0 - beta1 ** t)) / denom

@@ -20,9 +20,9 @@ from .sketch import Sketch, Stroke
 from .vae import VaeModel, encoder_feature
 
 __all__ = [
-    "SegConfig", "SegModel", "seg_forward", "class_weights", "seg_loss",
-    "train_segmenter", "extract_feature", "predict_labels",
-    "evaluate_accuracy", "confusion_matrix", "cross_validate",
+    "SegConfig", "SegModel", "seg_forward", "class_weights", "train_segmenter",
+    "extract_feature", "predict_labels", "evaluate_accuracy", "confusion_matrix",
+    "cross_validate",
 ]
 
 
@@ -82,12 +82,10 @@ def _log_probs(tp: dict, x, masks: tuple | None = None) -> Tensor:
     return log_softmax(h2 @ tp["w_o"] + tp["b_o"], axis=-1)
 
 
-def seg_forward(m: SegModel, feature, training: bool = False,
-                rng: np.random.Generator | None = None) -> np.ndarray:
+def seg_forward(m: SegModel, feature) -> np.ndarray:
     """Class probabilities for one feature vector or a (B, F) batch.
 
-    Dropout fires only when training=True (an rng is then required);
-    inference is deterministic.
+    Inference is deterministic: no dropout (training draws its own masks).
     """
     x = np.asarray(feature, dtype=np.float64)
     single = x.ndim == 1
@@ -96,13 +94,7 @@ def seg_forward(m: SegModel, feature, training: bool = False,
     if x.shape[1] != m.params["w_h1"].shape[0]:
         raise ValueError(f"feature length {x.shape[1]} does not match model "
                          f"input {m.params['w_h1'].shape[0]}")
-    masks = None
-    if training and m.keep_prob < 1.0:
-        if rng is None:
-            raise ValueError("training-mode forward needs an rng for dropout")
-        masks = tuple((rng.random((x.shape[0], w.shape[1])) < m.keep_prob)
-                      / m.keep_prob for w in (m.params["w_h1"], m.params["w_h2"]))
-    probs = np.exp(_log_probs(m.tensors(), x, masks).data)
+    probs = np.exp(_log_probs(m.tensors(), x).data)
     return probs[0] if single else probs
 
 
@@ -117,13 +109,6 @@ def class_weights(counts) -> np.ndarray:
     n_hat = counts / counts.sum()
     e = np.exp(-n_hat)
     return e / e.sum()
-
-
-def seg_loss(probs, true_class: int, weights) -> float:
-    """Weighted cross entropy -w_c * log(probs[c]) for the true class c."""
-    probs = np.asarray(probs, dtype=np.float64)
-    p = max(float(probs[true_class]), float(np.finfo(np.float64).tiny))
-    return -float(weights[true_class]) * np.log(p)
 
 
 def _weighted_ce(tp: dict, x, y_idx: np.ndarray, w: np.ndarray,

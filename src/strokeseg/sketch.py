@@ -144,24 +144,20 @@ def _parse_line(line: str, line_number: int, annotated: bool) -> Sketch:
     return Sketch(strokes=strokes, category=category)
 
 
+def _parse_file(path, annotated: bool) -> list:
+    with open(path, encoding="utf-8") as fh:
+        return [_parse_line(line, i, annotated)
+                for i, line in enumerate(fh, start=1) if line.strip()]
+
+
 def parse_quickdraw(path) -> list:
     """Parse an unlabeled line-JSON sketch file."""
-    sketches = []
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            if line.strip():
-                sketches.append(_parse_line(line, i, annotated=False))
-    return sketches
+    return _parse_file(path, annotated=False)
 
 
 def parse_annotated(path) -> list:
     """Parse a labeled line-JSON sketch file, validating labels per category."""
-    sketches = []
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            if line.strip():
-                sketches.append(_parse_line(line, i, annotated=True))
-    return sketches
+    return _parse_file(path, annotated=True)
 
 
 def write_sketches(path, sketches) -> None:

@@ -343,8 +343,7 @@ def _percentile_len(sketches) -> int:
 
 def train(m: VaeModel, sketches, epochs: int, rng: np.random.Generator,
           augment: bool = True, val_fraction: float = 1.0 / 30.0,
-          checkpoint_dir=None, adam_state: AdamState | None = None,
-          learning_rate: float | None = None):
+          checkpoint_dir=None, adam_state: AdamState | None = None):
     """Train in place over temporal stroke batches; returns (m, history).
 
     Per epoch: shuffle sketches, rebuild batches, optionally scale-augment
@@ -358,7 +357,7 @@ def train(m: VaeModel, sketches, epochs: int, rng: np.random.Generator,
 
     from .checkpoint import save_checkpoint
 
-    lr = learning_rate if learning_rate is not None else m.config.learning_rate
+    lr = m.config.learning_rate
     state = adam_state if adam_state is not None else AdamState()
     if checkpoint_dir is not None:
         checkpoint_dir = Path(checkpoint_dir)

@@ -109,3 +109,59 @@ def numeric_gradient(f, x, h=1e-6):
         g[idx] = (hi - lo) / (2.0 * h)
         it.iternext()
     return g
+
+
+def log_softmax_ref(v):
+    """Log softmax over the last axis."""
+    v = np.asarray(v, dtype=np.float64)
+    shifted = v - v.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def compute_idm_ref(points, canvas, grid=12, references=(0.0, 45.0, 90.0, 135.0)):
+    """Orientation and endpoint maps of a polyline, splatted one point at a
+    time. Per point: the tangent angle mod 180 (central differences inside,
+    one-sided at the ends), a response max(0, 1 - diff/45) per reference
+    angle, and value * wx * wy kept as a per-cell max on the four cells
+    around the point. The fifth map marks the cells nearest the endpoints.
+    `canvas` needs x_min, y_min, width and height."""
+    points = np.asarray(points, dtype=np.float64)
+    diffs = np.empty_like(points)
+    diffs[0] = points[1] - points[0]
+    diffs[-1] = points[-1] - points[-2]
+    if len(points) > 2:
+        diffs[1:-1] = points[2:] - points[:-2]
+    angles = np.mod(np.degrees(np.arctan2(diffs[:, 1], diffs[:, 0])), 180.0)
+    w = canvas.width if canvas.width > 0 else 1.0
+    h = canvas.height if canvas.height > 0 else 1.0
+    gxs = np.clip((points[:, 0] - canvas.x_min) / w * (grid - 1), 0.0, grid - 1)
+    gys = np.clip((points[:, 1] - canvas.y_min) / h * (grid - 1), 0.0, grid - 1)
+    maps = np.zeros((5, grid, grid))
+    for r, ref in enumerate(references):
+        d = np.abs(np.mod(angles - ref, 180.0))
+        responses = np.clip(1.0 - np.minimum(d, 180.0 - d) / 45.0, 0.0, 1.0)
+        for gx, gy, value in zip(gxs, gys, responses):
+            if value <= 0:
+                continue
+            x0, y0 = int(np.floor(gx)), int(np.floor(gy))
+            fx, fy = gx - x0, gy - y0
+            for cx, wx in ((x0, 1.0 - fx), (x0 + 1, fx)):
+                for cy, wy in ((y0, 1.0 - fy), (y0 + 1, fy)):
+                    if 0 <= cx < grid and 0 <= cy < grid and wx * wy > 0:
+                        maps[r, cy, cx] = max(maps[r, cy, cx], value * wx * wy)
+    for gx, gy in ((gxs[0], gys[0]), (gxs[-1], gys[-1])):
+        maps[4, int(round(gy)), int(round(gx))] = 1.0
+    return maps.reshape(-1)
+
+
+def adam_ref(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Textbook Adam step t (1-based) on dicts of arrays, out of place:
+    returns new (params, m, v) dicts and leaves the inputs untouched."""
+    new_p, new_m, new_v = {}, {}, {}
+    for k, g in grads.items():
+        new_m[k] = beta1 * m[k] + (1.0 - beta1) * g
+        new_v[k] = beta2 * v[k] + (1.0 - beta2) * g * g
+        m_hat = new_m[k] / (1.0 - beta1 ** t)
+        v_hat = new_v[k] / (1.0 - beta2 ** t)
+        new_p[k] = params[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return new_p, new_m, new_v

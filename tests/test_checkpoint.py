@@ -5,6 +5,7 @@ import pytest
 from strokeseg.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from strokeseg.optim import AdamState, adam_update, clip_gradients
 from strokeseg.vae import VaeConfig, VaeModel, train
+from oracles import adam_ref
 from synthdata import toy_strokes
 
 
@@ -91,3 +92,25 @@ def test_adam_first_step_moves_by_lr_against_gradient_sign():
     adam_update(params, grads, AdamState(), lr=0.01)
     # bias-corrected first step has magnitude ~lr in each coordinate
     npt.assert_allclose(params["w"], [1.0 - 0.01, -1.0 + 0.01], atol=1e-6)
+
+
+def test_adam_update_in_place_matches_out_of_place_oracle():
+    rng = np.random.default_rng(23)
+    params = {"w": rng.standard_normal((7, 5)), "b": rng.standard_normal(5)}
+    arrays = dict(params)
+    ref_p = {k: v.copy() for k, v in params.items()}
+    ref_m = {k: np.zeros_like(v) for k, v in params.items()}
+    ref_v = {k: np.zeros_like(v) for k, v in params.items()}
+    state = AdamState()
+    for t in range(1, 7):
+        grads = {k: rng.standard_normal(v.shape) for k, v in params.items()}
+        adam_update(params, grads, state, lr=1e-2)
+        ref_p, ref_m, ref_v = adam_ref(ref_p, grads, ref_m, ref_v, t, lr=1e-2)
+        if t == 1:
+            moments = (dict(state.m), dict(state.v))
+        for k in params:
+            npt.assert_array_equal(params[k], ref_p[k])
+            npt.assert_array_equal(state.m[k], ref_m[k])
+            npt.assert_array_equal(state.v[k], ref_v[k])
+            assert params[k] is arrays[k]
+            assert state.m[k] is moments[0][k] and state.v[k] is moments[1][k]

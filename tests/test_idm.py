@@ -4,8 +4,9 @@ import pytest
 
 from strokeseg.idm import (FEATURE_VARIANTS, GRID, compute_idm,
                            context_feature, idm_feature, segmentation_feature,
-                           spatial_features, symbol_idm, write_feature_dump)
-from strokeseg.sketch import BBox, Sketch, Stroke
+                           spatial_features, symbol_idm)
+from strokeseg.sketch import BBox, Sketch, Stroke, padded_square
+from oracles import compute_idm_ref
 
 
 def _grid(feature, index):
@@ -147,13 +148,20 @@ def test_context_feature_shares_symbol_block():
     assert not np.allclose(f1[:720], f2[:720])
 
 
-def test_write_feature_dump(tmp_path):
-    import json
-    path = tmp_path / "features.ndjson"
-    write_feature_dump(path, [("idm", np.array([0.5, 1.0])),
-                              ("idm-spt", np.zeros(3))])
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == 2
-    rec = json.loads(lines[0])
-    assert rec["variant"] == "idm"
-    assert rec["values"] == [0.5, 1.0]
+def test_compute_idm_bit_identical_to_point_by_point_splat():
+    rng = np.random.default_rng(20)
+    far_edge = 0
+    for i in range(1200):
+        n = int(rng.integers(2, 30))
+        if i % 3 == 0:    # integer points: whole-cell coordinates up to gx == 11
+            pts = rng.integers(0, GRID, size=(n, 2)).astype(np.float64)
+            canvas = BBox(0.0, 0.0, GRID - 1.0, GRID - 1.0)
+        elif i % 3 == 1:  # a stroke on its own padded square, as idm_feature draws it
+            pts = rng.uniform(-50.0, 50.0, size=(n, 2))
+            canvas = padded_square(BBox.of_points(pts))
+        else:             # points past the canvas get clipped onto its edges
+            pts = rng.uniform(-20.0, 275.0, size=(n, 2))
+            canvas = BBox(0.0, 0.0, 255.0, 255.0)
+        far_edge += int(np.any((pts[:, 0] - canvas.x_min) / canvas.width >= 1.0))
+        npt.assert_array_equal(compute_idm(pts, canvas), compute_idm_ref(pts, canvas))
+    assert far_edge > 300

@@ -5,8 +5,7 @@ import pytest
 from strokeseg.autodiff import Tensor
 from strokeseg.mixture import (NLL_FLOOR, MixtureParams, RawMixture,
                                apply_temperature, bivariate_pdf, mixture_nll,
-                               pen_cross_entropy, sample_point, split_params,
-                               transform_params)
+                               sample_point, split_params, transform_params)
 from oracles import bivariate_pdf_ref, mixture_nll_ref, softmax_ref
 
 
@@ -152,21 +151,6 @@ def test_mixture_nll_batch_shape():
     dy = rng.standard_normal((4, 6))
     out = mixture_nll(p, dx, dy)
     assert out.shape == (4, 6)
-
-
-def test_pen_cross_entropy_known_values():
-    npt.assert_allclose(pen_cross_entropy(np.full(3, 1.0 / 3.0),
-                                          np.array([0.0, 1.0, 0.0])),
-                        np.log(3.0), rtol=1e-12)
-    npt.assert_allclose(pen_cross_entropy(np.array([0.7, 0.2, 0.1]),
-                                          np.array([0.0, 1.0, 0.0])),
-                        -np.log(0.2), rtol=1e-12)
-
-
-def test_pen_cross_entropy_is_floored():
-    val = pen_cross_entropy(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))
-    assert np.isfinite(val)
-    assert val <= NLL_FLOOR + 1e-9
 
 
 def test_apply_temperature_identity_at_one():

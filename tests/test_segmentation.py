@@ -6,10 +6,10 @@ from strokeseg.segmentation import (CvReport, SegConfig, SegModel,
                                     class_weights, confusion_matrix,
                                     cross_validate, evaluate_accuracy,
                                     extract_feature, predict_labels,
-                                    seg_forward, seg_loss, train_segmenter)
+                                    seg_forward, train_segmenter, _weighted_ce)
 from strokeseg.sketch import Sketch, Stroke
 from strokeseg.vae import VaeConfig, VaeModel
-from oracles import softmax_ref
+from oracles import log_softmax_ref, softmax_ref
 
 
 def test_class_weights_matches_softmax_of_negative_proportions():
@@ -34,13 +34,6 @@ def test_class_weights_rejects_zero_count():
         class_weights([3, 0, 2])
 
 
-def test_seg_loss_weighted_log():
-    probs = np.array([0.2, 0.5, 0.3])
-    w = np.array([0.5, 0.3, 0.2])
-    npt.assert_allclose(seg_loss(probs, 1, w), -0.3 * np.log(0.5), rtol=1e-12)
-    assert np.isfinite(seg_loss(np.array([1.0, 0.0]), 1, np.array([0.5, 0.5])))
-
-
 def _toy_model(rng=None, classes=("a", "b", "c"), input_size=4):
     rng = rng or np.random.default_rng(0)
     cfg = SegConfig(hidden1=16, hidden2=8)
@@ -57,12 +50,29 @@ def test_seg_forward_probabilities():
     npt.assert_allclose(batch.sum(axis=1), np.ones(5), rtol=1e-9)
 
 
-def test_seg_forward_validates_width_and_training_rng():
+def test_seg_forward_validates_width():
     m = _toy_model()
     with pytest.raises(ValueError):
         seg_forward(m, np.ones(7))
-    with pytest.raises(ValueError):
-        seg_forward(m, np.ones(4), training=True)
+
+
+def test_weighted_ce_matches_numpy_reference():
+    rng = np.random.default_rng(21)
+    m = _toy_model(rng)
+    for k in ("b_h1", "b_h2", "b_o"):
+        m.params[k][:] = rng.standard_normal(m.params[k].shape)
+    x = rng.standard_normal((6, 4))
+    y = np.array([0, 1, 2, 2, 1, 0])
+    w = class_weights([3, 1, 2])
+    masks = tuple((rng.random((6, h)) < 0.5) / 0.5 for h in (16, 8))
+    p = m.params
+    for mk in (None, masks):
+        h1 = np.maximum(x @ p["w_h1"] + p["b_h1"], 0.0) * (1.0 if mk is None else mk[0])
+        h2 = np.maximum(h1 @ p["w_h2"] + p["b_h2"], 0.0) * (1.0 if mk is None else mk[1])
+        log_p = log_softmax_ref(h2 @ p["w_o"] + p["b_o"])
+        expected = -np.mean(w[y] * log_p[np.arange(len(y)), y])
+        npt.assert_allclose(_weighted_ce(m.tensors(), x, y, w, mk).data, expected,
+                            rtol=1e-12)
 
 
 def test_seg_forward_inference_is_deterministic():

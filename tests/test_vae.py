@@ -8,7 +8,7 @@ from strokeseg.vae import (VaeConfig, VaeModel, decode_sample,
                            decode_teacher_forced, encode, encoder_feature,
                            kl_loss, kl_weight, reconstruct_sketch,
                            reverse_valid, sample_latent, total_loss, train)
-from oracles import kl_gaussian_ref, kl_monte_carlo
+from oracles import kl_gaussian_ref, kl_monte_carlo, log_softmax_ref
 from synthdata import toy_strokes
 from tape_lstm import count_tape_nodes
 
@@ -209,6 +209,17 @@ def test_total_loss_deterministic_given_noise():
     npt.assert_allclose(t3.data, t4.data, rtol=1e-15)
 
 
+def test_total_loss_pen_ce_matches_numpy_reference():
+    m = _model(seed=22)
+    batch = _batch([_line_sketch(steps=5), _line_sketch(dx=-2.0, steps=2)])
+    _, breakdown = total_loss(m, batch, step=0)  # z is the posterior mean
+    mu, _ = encode(m, batch.sequences, batch.mask)
+    log_q = log_softmax_ref(decode_teacher_forced(m, mu, batch.sequences).q_hat.data)
+    # mean over every step of the padded batch, padding rows included
+    expected = -np.mean((batch.sequences[:, :, 2:5] * log_q).sum(axis=-1))
+    npt.assert_allclose(breakdown["pen_ce"], expected, rtol=1e-12)
+
+
 def test_train_smoke_and_determinism():
     sketches = toy_strokes(4)
 
@@ -234,11 +245,11 @@ def test_train_smoke_and_determinism():
 def test_train_respects_learning_rate_zero():
     sketches = toy_strokes(4)
     cfg = VaeConfig(enc_hidden=4, dec_hidden=8, num_mixtures=2, latent_size=3,
-                    batch_size=2, keep_prob=1.0)
+                    batch_size=2, keep_prob=1.0, learning_rate=0.0)
     m = VaeModel.init(cfg, np.random.default_rng(9))
     before = {k: v.copy() for k, v in m.params.items()}
     m, _ = train(m, sketches, epochs=1, rng=np.random.default_rng(10),
-                 val_fraction=0.0, learning_rate=0.0)
+                 val_fraction=0.0)
     for k in before:
         npt.assert_array_equal(m.params[k], before[k])
 
