@@ -181,16 +181,22 @@ def cmd_reconstruct(args, argv) -> int:
     return 0
 
 
-def _seg_feature_fn(variant: str, encoder: VaeModel | None, sketches):
+def _seg_feature_fn(variant: str, encoder: VaeModel | None):
     if variant == "nn":
         if encoder is None:
             raise ValueError("feature 'nn' needs --encoder")
         fn = lambda sk, st: extract_feature(encoder, st)
     else:
         fn = lambda sk, st: segmentation_feature(sk, st, NORMALIZED_CANVAS, variant)
-    # each stroke's feature once, shared by every fold, sweep size and final fit
-    table = {id(st): fn(sk, st) for sk in sketches for st in sk.strokes}
-    return lambda sk, st: table[id(st)]
+    # each stroke's feature once, on first use, shared by every fold, sweep
+    # size and final fit
+    table = {}
+
+    def feature(sk, st):
+        if id(st) not in table:
+            table[id(st)] = fn(sk, st)
+        return table[id(st)]
+    return feature
 
 
 def _seg_dataset(sketches, feature_fn, classes):
@@ -198,8 +204,6 @@ def _seg_dataset(sketches, feature_fn, classes):
     index = {c: i for i, c in enumerate(classes)}
     for sk in sketches:
         for st in sk.strokes:
-            if st.label is None:
-                raise ValueError("segmentation needs labeled strokes")
             feats.append(feature_fn(sk, st))
             labels.append(index[st.label])
     return np.array(feats), np.array(labels)
@@ -239,7 +243,7 @@ def _run_segmentation(args, argv, command: str) -> int:
     if args.encoder:
         encoder = load_checkpoint(_resolve_data(args.encoder))[0]
         inputs.append(_resolve_data(args.encoder))
-    feature_fn = _seg_feature_fn(args.feature, encoder, sketches)
+    feature_fn = _seg_feature_fn(args.feature, encoder)
     config = SegConfig(epochs=args.epochs)
     rng = np.random.default_rng(args.seed)
     report = cross_validate(sketches, args.folds,

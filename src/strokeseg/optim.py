@@ -8,6 +8,8 @@ import numpy as np
 
 __all__ = ["clip_gradients", "AdamState", "adam_update"]
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 def clip_gradients(grads: dict, threshold: float) -> dict:
     """Clip every gradient element into [-threshold, threshold]."""
@@ -25,8 +27,7 @@ class AdamState:
     t: int = 0
 
 
-def adam_update(params: dict, grads: dict, state: AdamState, lr: float,
-                beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+def adam_update(params: dict, grads: dict, state: AdamState, lr: float) -> None:
     """One Adam step, in place on the arrays of `params` and `state`, in the
     textbook operation order."""
     state.t += 1
@@ -36,10 +37,10 @@ def adam_update(params: dict, grads: dict, state: AdamState, lr: float,
             state.m[k] = np.zeros_like(params[k])
             state.v[k] = np.zeros_like(params[k])
         m, v = state.m[k], state.v[k]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        denom = np.sqrt(v / (1.0 - beta2 ** t))
-        denom += eps
-        params[k] -= lr * (m / (1.0 - beta1 ** t)) / denom
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        denom = np.sqrt(v / (1.0 - BETA2 ** t))
+        denom += EPS
+        params[k] -= lr * (m / (1.0 - BETA1 ** t)) / denom

@@ -111,13 +111,12 @@ def remove_tiny_strokes(sketch: Sketch, min_length: float = 15.0) -> Sketch:
 
 
 def preprocess_sketch(sketch: Sketch, epsilon: float = 2.0,
-                      min_length: float = 15.0, spacing: float = 1.0,
-                      extent: float = 255.0) -> Sketch:
+                      min_length: float = 15.0) -> Sketch:
     """Full pipeline. Strokes that simplify to zero length are dropped."""
-    out = normalize_sketch(sketch, extent=extent)
+    out = normalize_sketch(sketch)
     strokes = []
     for s in out.strokes:
-        s = resample_stroke(s, spacing=spacing)
+        s = resample_stroke(s)
         s = rdp_simplify(s, epsilon=epsilon)
         if s.arc_length > 0:
             strokes.append(s)

@@ -138,6 +138,9 @@ def lstm_sequence(p: LstmParams, xs, mask: np.ndarray | None = None,
     kept for the backward pass only when some input requires grad.
     """
     xs = as_tensor(xs)
+    extra = None if inputs_extra is None else as_tensor(inputs_extra)
+    if len(xs.shape) != 3 or (extra is not None and len(extra.shape) != 2):
+        raise ValueError("lstm_sequence takes a (B, L, D) batch and (B, E) inputs_extra")
     bsz, length, d_in = xs.shape
     if length < 1:
         raise ValueError("lstm_sequence needs at least one step")
@@ -146,7 +149,6 @@ def lstm_sequence(p: LstmParams, xs, mask: np.ndarray | None = None,
     gains = [as_tensor(v) for v in (p.ln_gi, p.ln_gf, p.ln_gg, p.ln_go)]
     biases = [as_tensor(v) for v in (p.ln_bi, p.ln_bf, p.ln_bg, p.ln_bo)]
     gain_c, bias_c = as_tensor(p.ln_gc), as_tensor(p.ln_bc)
-    extra = None if inputs_extra is None else as_tensor(inputs_extra)
     width = d_in + (0 if extra is None else extra.shape[-1])
     if w_x.shape[0] != width:
         raise ValueError(f"lstm input size {width} does not match weights {w_x.shape[0]}")
@@ -162,7 +164,8 @@ def lstm_sequence(p: LstmParams, xs, mask: np.ndarray | None = None,
     g4_half = g4 * _HALF
     b4_half = np.stack([v.data for v in biases]) * _HALF
     gc, bc = gain_c.data, bias_c.data
-    drop = None if dropout_mask is None else np.asarray(dropout_mask, dtype=np.float64)
+    # no dropout is the scale 1.0, which leaves every product bit for bit unchanged
+    drop = 1.0 if dropout_mask is None else np.asarray(dropout_mask, dtype=np.float64)
     mask_t = None if mask is None else np.asarray(mask, dtype=np.float64).T[:, :, None]
 
     # Buffers are time-major (L, B, ...), so each step's slice is contiguous.
@@ -186,9 +189,7 @@ def lstm_sequence(p: LstmParams, xs, mask: np.ndarray | None = None,
         act = np.tanh(nt * g4_half + b4_half)
         act *= _HALF
         act += _SHIFT
-        i, f, g, o = act[:, 0], act[:, 1], act[:, 2], act[:, 3]
-        if drop is not None:
-            g = g * drop
+        i, f, g, o = act[:, 0], act[:, 1], act[:, 2] * drop, act[:, 3]
         c_new = f * c + i * g
         nc, rc = _norm_forward(c_new)
         tc = np.tanh(nc * gc + bc)
@@ -219,12 +220,8 @@ def lstm_sequence(p: LstmParams, xs, mask: np.ndarray | None = None,
         i_all, f_all, g_all, o_all = (gates[:, :, k] for k in range(4))
         coef = gates * (1.0 - gates)
         coef[:, :, 2] = 1.0 - g_all * g_all
-        if drop is None:
-            coef[:, :, 0] *= g_all
-            coef[:, :, 2] *= i_all
-        else:
-            coef[:, :, 0] *= g_all * drop
-            coef[:, :, 2] *= i_all * drop
+        coef[:, :, 0] *= g_all * drop
+        coef[:, :, 2] *= i_all * drop
         coef[:, :, 1] *= c_prev
         coef[:, :, 3] *= tanh_c
         # Likewise for the cell-state layer norm's output, scaled by dh_new.
@@ -307,13 +304,12 @@ def lstm_step(p: LstmParams, x, h_prev, c_prev, dropout_mask=None):
 
 
 def run_lstm(p: LstmParams, xs: np.ndarray, mask: np.ndarray | None = None,
-             dropout_mask=None, inputs_extra=None):
+             dropout_mask=None):
     """Run a cell over a (B, L, D) batch and return the final (h, c).
 
     `mask` (B, L) latches the state on padded steps, so the result is the
-    state after each row's last real step. `inputs_extra` (a (B, E) Tensor)
-    is concatenated to every step's input.
+    state after each row's last real step.
     """
-    hc = lstm_sequence(p, xs, mask, dropout_mask, inputs_extra)
+    hc = lstm_sequence(p, xs, mask, dropout_mask)
     n = p.hidden_size
     return hc[:, -1, :n], hc[:, -1, n:]

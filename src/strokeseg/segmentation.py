@@ -82,20 +82,17 @@ def _log_probs(tp: dict, x, masks: tuple | None = None) -> Tensor:
     return log_softmax(h2 @ tp["w_o"] + tp["b_o"], axis=-1)
 
 
-def seg_forward(m: SegModel, feature) -> np.ndarray:
-    """Class probabilities for one feature vector or a (B, F) batch.
+def seg_forward(m: SegModel, features) -> np.ndarray:
+    """Class probabilities (B, C) for a (B, F) batch of feature vectors.
 
     Inference is deterministic: no dropout (training draws its own masks).
     """
-    x = np.asarray(feature, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] != m.params["w_h1"].shape[0]:
-        raise ValueError(f"feature length {x.shape[1]} does not match model "
-                         f"input {m.params['w_h1'].shape[0]}")
-    probs = np.exp(_log_probs(m.tensors(), x).data)
-    return probs[0] if single else probs
+    x = np.asarray(features, dtype=np.float64)
+    width = m.params["w_h1"].shape[0]
+    if x.ndim != 2 or x.shape[1] != width:
+        raise ValueError(f"features of shape {x.shape} do not match the model's "
+                         f"(B, {width}) input")
+    return np.exp(_log_probs(m.tensors(), x).data)
 
 
 def class_weights(counts) -> np.ndarray:
@@ -130,14 +127,17 @@ def train_segmenter(features, labels, classes, config: SegConfig,
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if len(features) != len(labels):
-        raise ValueError("features and labels must align")
+    if len(features) != len(labels) or not len(labels):
+        raise ValueError("features and labels must align and be non-empty")
     model = SegModel.init(features.shape[1], classes, config, rng)
     n_val = int(len(features) * config.val_fraction)
     order = rng.permutation(len(features))
     val_idx, tr_idx = order[:n_val], order[n_val:]
     counts = np.bincount(labels[tr_idx], minlength=len(model.classes))
-    w = class_weights(counts)
+    # a class absent from the training rows (a small fold) gets weight 0
+    present = counts > 0
+    w = np.zeros(len(counts))
+    w[present] = class_weights(counts[present])
     state = AdamState()
     best = {k: v.copy() for k, v in model.params.items()}
     best_val = np.inf
@@ -185,16 +185,13 @@ def train_segmenter(features, labels, classes, config: SegConfig,
 
 def extract_feature(encoder: VaeModel, stroke: Stroke) -> np.ndarray:
     """Deterministic per-stroke feature from a frozen encoder: [h_fwd; h_bwd]."""
-    return encoder_feature(encoder, to_offsets(stroke))
+    return encoder_feature(encoder, to_offsets(stroke)[None])[0]
 
 
 def predict_labels(seg: SegModel, feature_fn, sketch: Sketch) -> list:
     """Predicted class name per stroke (argmax; ties go to the lowest index)."""
-    labels = []
-    for stroke in sketch.strokes:
-        probs = seg_forward(seg, feature_fn(sketch, stroke))
-        labels.append(seg.classes[int(np.argmax(probs))])
-    return labels
+    probs = seg_forward(seg, [feature_fn(sketch, stroke) for stroke in sketch.strokes])
+    return [seg.classes[i] for i in np.argmax(probs, axis=1)]
 
 
 def evaluate_accuracy(predictions, ground_truth) -> float:

@@ -75,11 +75,10 @@ def _stroke_colors(sketch: Sketch, classes: list | None):
     return [color_of.get(lb, DEFAULT_COLOR) for lb in labels], color_of
 
 
-def render_sketch(sketch: Sketch, classes: list | None = None,
-                  title: str | None = None) -> str:
+def render_sketch(sketch: Sketch, classes: list | None = None) -> str:
     """One sketch as an SVG document; labeled strokes colored, legend added."""
     colors, color_of = _stroke_colors(sketch, classes)
-    body = _panel(sketch, colors, 0.0, 0.0, title)
+    body = _panel(sketch, colors, 0.0, 0.0, None)
     height = PANEL
     if color_of:
         y = PANEL + 8.0

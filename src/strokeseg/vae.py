@@ -23,7 +23,7 @@ from .recurrent import LstmParams, lstm_sequence, lstm_step, run_lstm, xavier_in
 from .sketch import Sketch, Stroke
 
 __all__ = [
-    "VaeConfig", "VaeModel", "LatentCode", "reverse_valid", "encode",
+    "VaeConfig", "VaeModel", "reverse_valid", "encode",
     "sample_latent", "init_decoder", "decode_teacher_forced", "decode_sample",
     "kl_loss", "kl_weight", "total_loss", "loss_and_grads", "train",
     "reconstruct_sketch",
@@ -64,13 +64,6 @@ class VaeConfig:
         return cls(**d)
 
 
-@dataclass
-class LatentCode:
-    z: np.ndarray
-    mu: np.ndarray
-    sigma_hat: np.ndarray
-
-
 class VaeModel:
     """Flat parameter dictionary plus config; step counts optimizer updates."""
 
@@ -102,15 +95,6 @@ class VaeModel:
                 for k, v in self.params.items()}
 
 
-def _as_batch(seq: np.ndarray):
-    seq = np.asarray(seq, dtype=np.float64)
-    if seq.ndim == 2:
-        return seq[None, :, :], True
-    if seq.ndim == 3:
-        return seq, False
-    raise ValueError("expected (L, 5) or (B, L, 5) sequences")
-
-
 def reverse_valid(seq: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     """Reverse each row's real steps in place of order, leaving padding put."""
     out = seq.copy()
@@ -133,38 +117,31 @@ def _dropout_masks(config: VaeConfig, batch_rows: int, rng: np.random.Generator)
             "dec": draw(config.dec_hidden)}
 
 
+def _encoder_pass(tp: dict, seq, mask: np.ndarray | None, dm: dict) -> Tensor:
+    """Final states of both encoder directions, concatenated: (B, 2H)."""
+    seq = np.asarray(seq, dtype=np.float64)
+    h_f, _ = run_lstm(LstmParams.from_dict(tp, "enc_fwd"), seq, mask,
+                      dropout_mask=dm.get("enc_fwd"))
+    h_b, _ = run_lstm(LstmParams.from_dict(tp, "enc_bwd"), reverse_valid(seq, mask), mask,
+                      dropout_mask=dm.get("enc_bwd"))
+    return concat([h_f, h_b], axis=1)
+
+
 def encode(m: VaeModel, seq, mask: np.ndarray | None = None,
            params: dict | None = None, dropout_masks: dict | None = None):
     """Bidirectional encoding to the posterior (mu, sigma_hat) Tensors.
 
-    `seq` is (L, 5) or (B, L, 5); `mask` flags real steps for padded input.
+    `seq` is a (B, L, 5) batch; `mask` flags real steps for padded input.
     """
-    seq, single = _as_batch(seq)
     tp = params if params is not None else m.tensors()
-    dm = dropout_masks or {}
-    fwd = LstmParams.from_dict(tp, "enc_fwd")
-    bwd = LstmParams.from_dict(tp, "enc_bwd")
-    h_f, _ = run_lstm(fwd, seq, mask, dropout_mask=dm.get("enc_fwd"))
-    h_b, _ = run_lstm(bwd, reverse_valid(seq, mask), mask,
-                      dropout_mask=dm.get("enc_bwd"))
-    h = concat([h_f, h_b], axis=1)
-    mu = h @ tp["w_mu"] + tp["b_mu"]
-    sigma_hat = h @ tp["w_sigma"] + tp["b_sigma"]
-    if single:
-        return mu.reshape((m.config.latent_size,)), \
-            sigma_hat.reshape((m.config.latent_size,))
-    return mu, sigma_hat
+    h = _encoder_pass(tp, seq, mask, dropout_masks or {})
+    return h @ tp["w_mu"] + tp["b_mu"], h @ tp["w_sigma"] + tp["b_sigma"]
 
 
 def encoder_feature(m: VaeModel, seq, mask: np.ndarray | None = None) -> np.ndarray:
-    """Deterministic stroke representation h = [h_fwd; h_bwd], plain numpy."""
-    seq, single = _as_batch(seq)
-    tp = m.tensors()
-    h_f, _ = run_lstm(LstmParams.from_dict(tp, "enc_fwd"), seq, mask)
-    h_b, _ = run_lstm(LstmParams.from_dict(tp, "enc_bwd"),
-                      reverse_valid(seq, mask), mask)
-    h = np.concatenate([h_f.data, h_b.data], axis=1)
-    return h[0] if single else h
+    """Deterministic stroke representations h = [h_fwd; h_bwd] of a (B, L, 5)
+    batch, plain numpy (B, 2H)."""
+    return _encoder_pass(m.tensors(), seq, mask, {}).data
 
 
 def sample_latent(mu, sigma_hat, rng: np.random.Generator | None = None,
@@ -193,24 +170,21 @@ def decode_teacher_forced(m: VaeModel, z, seq, params: dict | None = None,
     """Decode with ground-truth inputs; returns per-step raw mixtures.
 
     At step t the decoder consumes [s_{t-1}; z], with s_0 = [0 0 1 0 0].
-    Output fields have shape (B, L, M) (or (L, M) for a single sequence).
+    `z` is (B, N_z) and `seq` (B, L, 5); output fields have shape (B, L, M).
     """
-    seq, single = _as_batch(seq)
     tp = params if params is not None else m.tensors()
     z = as_tensor(z)
-    if z.data.ndim == 1:
-        z = z.reshape((1, z.shape[0]))
-    b, length, _ = seq.shape
-    prev = np.concatenate([np.tile(START_ROW, (b, 1, 1)), seq[:, :-1, :]], axis=1)
+    # s_{t-1} at step t: the sequences one step later, s_0 first
+    prev = np.roll(np.asarray(seq, dtype=np.float64), 1, axis=-2)
+    prev[..., 0, :] = START_ROW
     h0, c0 = init_decoder(m, z, tp)
     hc = lstm_sequence(LstmParams.from_dict(tp, "dec"), prev, dropout_mask=dropout_mask,
                        inputs_extra=z, h0=h0, c0=c0)
+    b, length, _ = prev.shape
     d = m.config.dec_hidden
     k = 6 * m.config.num_mixtures + 3
     hs = hc[:, :, :d].reshape((b * length, d))
     y = (hs @ tp["w_y"] + tp["b_y"]).reshape((b, length, k))
-    if single:
-        y = y.reshape((length, k))
     return split_params(y, m.config.num_mixtures)
 
 
@@ -410,8 +384,7 @@ def reconstruct_sketch(m: VaeModel, sketch: Sketch, tau: float,
     """
     strokes = []
     for stroke in sketch.strokes:
-        rows = to_offsets(stroke)
-        mu, sigma_hat = encode(m, rows)
+        mu, sigma_hat = encode(m, to_offsets(stroke)[None])
         z = sample_latent(mu, sigma_hat, rng=rng)
         sampled = decode_sample(m, z.data, tau, rng)
         pts = np.cumsum(sampled[:, :2], axis=0)

@@ -222,6 +222,34 @@ def test_seg_train_sizes_sweep(annotated_file, tmp_path):
         assert len(entry["fold_accuracies"]) == 3
 
 
+def test_eval_seg_checks_folds_before_computing_features(annotated_file, tmp_path,
+                                                         monkeypatch, capsys):
+    import strokeseg.cli as cli
+    calls = []
+    real = cli.segmentation_feature
+    monkeypatch.setattr(cli, "segmentation_feature",
+                        lambda *args: calls.append(args) or real(*args))
+    rc = main(["eval-seg", "--data", str(annotated_file), "--feature", "idm",
+               "--folds", "9", "--out", str(tmp_path / "seg")])
+    assert rc == 1
+    assert "folds" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_eval_seg_tolerates_a_class_missing_from_training_folds(tmp_path):
+    sketches = chairs(6, np.random.default_rng(1))
+    for sk in sketches:
+        sk.strokes = [st for st in sk.strokes if st.label != "seat"]
+    data = tmp_path / "no_seat.ndjson"
+    write_sketches(data, sketches)
+    out = tmp_path / "seg"
+    assert main(["eval-seg", "--data", str(data), "--feature", "idm",
+                 "--folds", "3", "--epochs", "3", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["confusion"]["seat"] == {"back": 0, "leg": 0, "seat": 0}
+    assert sum(report["confusion"]["back"].values()) > 0
+
+
 def test_seg_nn_feature_requires_encoder(annotated_file, tmp_path, capsys):
     rc = main(["eval-seg", "--data", str(annotated_file), "--feature", "nn",
                "--folds", "3", "--out", str(tmp_path / "seg")])

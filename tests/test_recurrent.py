@@ -104,14 +104,21 @@ def test_lstm_step_full_gradient():
 def test_recurrent_dropout_scales_candidate_only():
     rng = np.random.default_rng(6)
     p = LstmParams.init(2, 4, rng)
+    inputs = {"xs": rng.standard_normal((2, 3, 2)), "h0": rng.standard_normal((2, 4)),
+              "c0": rng.standard_normal((2, 4))}
+    weights = rng.standard_normal((2, 3, 8))
+    # An all-ones mask is no dropout, bit for bit, in values and every gradient.
+    out_keep, grads_keep = _run_with_grads(lstm_sequence, p, inputs, None, np.ones((2, 4)),
+                                           weights)
+    out_none, grads_none = _run_with_grads(lstm_sequence, p, inputs, None, None, weights)
+    npt.assert_array_equal(out_keep, out_none)
+    for k, g in grads_none.items():
+        npt.assert_array_equal(grads_keep[k], g, err_msg=k)
+
     tp = _tensor_params(p)
     x = Tensor(rng.standard_normal((1, 2)))
-    h0 = Tensor(np.zeros((1, 4)))
-    c0 = Tensor(np.zeros((1, 4)))
-    _, c_keep = lstm_step(tp, x, h0, c0, dropout_mask=np.ones((1, 4)))
-    _, c_drop = lstm_step(tp, x, h0, c0, dropout_mask=np.zeros((1, 4)))
-    _, c_none = lstm_step(tp, x, h0, c0)
-    npt.assert_allclose(c_keep.data, c_none.data, rtol=1e-12)
+    zero = Tensor(np.zeros((1, 4)))
+    _, c_drop = lstm_step(tp, x, zero, zero, dropout_mask=np.zeros((1, 4)))
     # With the candidate fully masked and c0 = 0 the new cell must be zero.
     npt.assert_allclose(c_drop.data, 0.0, atol=1e-12)
 

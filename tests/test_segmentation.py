@@ -42,8 +42,8 @@ def _toy_model(rng=None, classes=("a", "b", "c"), input_size=4):
 
 def test_seg_forward_probabilities():
     m = _toy_model()
-    p = seg_forward(m, np.ones(4))
-    assert p.shape == (3,)
+    p = seg_forward(m, np.ones((1, 4)))
+    assert p.shape == (1, 3)
     npt.assert_allclose(p.sum(), 1.0, rtol=1e-9)
     batch = seg_forward(m, np.ones((5, 4)))
     assert batch.shape == (5, 3)
@@ -53,7 +53,9 @@ def test_seg_forward_probabilities():
 def test_seg_forward_validates_width():
     m = _toy_model()
     with pytest.raises(ValueError):
-        seg_forward(m, np.ones(7))
+        seg_forward(m, np.ones((1, 7)))
+    with pytest.raises(ValueError):
+        seg_forward(m, np.ones(4))
 
 
 def test_weighted_ce_matches_numpy_reference():
@@ -77,7 +79,7 @@ def test_weighted_ce_matches_numpy_reference():
 
 def test_seg_forward_inference_is_deterministic():
     m = _toy_model()
-    npt.assert_array_equal(seg_forward(m, np.ones(4)), seg_forward(m, np.ones(4)))
+    npt.assert_array_equal(seg_forward(m, np.ones((1, 4))), seg_forward(m, np.ones((1, 4))))
 
 
 def _blobs(rng, n_per_class=40):

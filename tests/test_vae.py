@@ -72,19 +72,42 @@ def test_encode_zero_weights_returns_biases():
             v[:] = 0.0
     m.params["b_mu"][:] = [0.5, -0.25, 2.0]
     m.params["b_sigma"][:] = [0.1, 0.2, 0.3]
-    mu, sigma_hat = encode(m, to_offsets(_line_sketch().strokes[0]))
-    npt.assert_allclose(mu.data, [0.5, -0.25, 2.0], atol=1e-12)
-    npt.assert_allclose(sigma_hat.data, [0.1, 0.2, 0.3], atol=1e-12)
+    mu, sigma_hat = encode(m, to_offsets(_line_sketch().strokes[0])[None])
+    npt.assert_allclose(mu.data, [[0.5, -0.25, 2.0]], atol=1e-12)
+    npt.assert_allclose(sigma_hat.data, [[0.1, 0.2, 0.3]], atol=1e-12)
+
+
+def test_encode_is_encoder_feature_through_the_latent_layer():
+    m = _model()
+    batch = _batch([_line_sketch(steps=5), _line_sketch(dx=-2.0, steps=2),
+                    _line_sketch(dx=1.0, dy=2.0, steps=4)], batch_size=3)
+    assert not batch.mask.all()
+    mu, sigma_hat = encode(m, batch.sequences, batch.mask)
+    h = encoder_feature(m, batch.sequences, batch.mask)
+    assert h.shape == (3, 2 * TINY.enc_hidden)
+    p = m.params
+    npt.assert_array_equal(mu.data, h @ p["w_mu"] + p["b_mu"])
+    npt.assert_array_equal(sigma_hat.data, h @ p["w_sigma"] + p["b_sigma"])
 
 
 def test_encoder_feature_is_deterministic_concat():
     m = _model()
-    rows = to_offsets(_line_sketch().strokes[0])
+    rows = to_offsets(_line_sketch().strokes[0])[None]
     f1 = encoder_feature(m, rows)
     f2 = encoder_feature(m, rows)
-    assert f1.shape == (2 * TINY.enc_hidden,)
+    assert f1.shape == (1, 2 * TINY.enc_hidden)
     npt.assert_array_equal(f1, f2)
     assert np.abs(f1).max() > 0
+
+
+def test_networks_reject_unbatched_input():
+    m = _model()
+    rows = to_offsets(_line_sketch().strokes[0])
+    for call in (lambda: encode(m, rows), lambda: encoder_feature(m, rows),
+                 lambda: decode_teacher_forced(m, np.zeros((1, 3)), rows),
+                 lambda: decode_teacher_forced(m, np.zeros(3), rows[None])):
+        with pytest.raises(ValueError, match=r"\(B, L, D\)"):
+            call()
 
 
 def test_sample_latent_reparameterization():
@@ -137,12 +160,12 @@ def test_kl_weight_schedule():
 
 def test_decode_teacher_forced_width_and_z_sensitivity():
     m = _model()
-    rows = to_offsets(_line_sketch().strokes[0])
-    raw = decode_teacher_forced(m, np.zeros(3), rows)
-    assert raw.pi_hat.data.shape == (len(rows), 2)
-    assert raw.q_hat.data.shape == (len(rows), 3)
+    rows = to_offsets(_line_sketch().strokes[0])[None]
+    raw = decode_teacher_forced(m, np.zeros((1, 3)), rows)
+    assert raw.pi_hat.data.shape == (1, rows.shape[1], 2)
+    assert raw.q_hat.data.shape == (1, rows.shape[1], 3)
 
-    raw2 = decode_teacher_forced(m, np.full(3, 2.0), rows)
+    raw2 = decode_teacher_forced(m, np.full((1, 3), 2.0), rows)
     diff = np.abs(raw.mu_x.data - raw2.mu_x.data).max()
     assert diff > 0
 
