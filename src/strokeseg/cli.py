@@ -238,6 +238,9 @@ def _run_segmentation(args, argv, command: str) -> int:
     if category not in CATEGORY_CLASSES:
         raise ValueError(f"unknown category {category!r}")
     classes = CATEGORY_CLASSES[category]
+    stray = sorted({st.label for sk in sketches for st in sk.strokes} - set(classes))
+    if stray:
+        raise ValueError(f"labels {stray} are not {category} classes {classes}")
     encoder = None
     inputs = [data]
     if args.encoder:

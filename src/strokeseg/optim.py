@@ -27,20 +27,38 @@ class AdamState:
     t: int = 0
 
 
-def adam_update(params: dict, grads: dict, state: AdamState, lr: float) -> None:
-    """One Adam step, in place on the arrays of `params` and `state`, in the
-    textbook operation order."""
+def adam_update(params: dict, grads: dict, state: AdamState, lr: float,
+                threshold: float = np.inf) -> None:
+    """One Adam step on gradients clipped into [-threshold, threshold], in
+    place on the arrays of `params` and `state`, in the textbook operation
+    order. `grads` is not written; the clipped gradient and every temporary
+    live in two scratch buffers shared by all parameters."""
+    if threshold <= 0:
+        raise ValueError("clip threshold must be positive")
     state.t += 1
     t = state.t
+    c1, c2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
+    size = max((g.size for g in grads.values()), default=0)
+    buf_a, buf_b = np.empty(size), np.empty(size)
     for k, g in grads.items():
         if k not in state.m:
             state.m[k] = np.zeros_like(params[k])
             state.v[k] = np.zeros_like(params[k])
         m, v = state.m[k], state.v[k]
+        a = buf_a[:g.size].reshape(g.shape)
+        b = buf_b[:g.size].reshape(g.shape)
+        np.clip(g, -threshold, threshold, out=a)
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        np.multiply(a, 1.0 - BETA1, out=b)
+        m += b
         v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        denom = np.sqrt(v / (1.0 - BETA2 ** t))
-        denom += EPS
-        params[k] -= lr * (m / (1.0 - BETA1 ** t)) / denom
+        np.multiply(a, 1.0 - BETA2, out=b)
+        b *= a
+        v += b
+        np.divide(v, c2, out=a)
+        np.sqrt(a, out=a)
+        a += EPS
+        np.divide(m, c1, out=b)
+        b *= lr
+        b /= a
+        params[k] -= b

@@ -14,7 +14,7 @@ import numpy as np
 
 from .autodiff import Tensor, as_tensor, log_softmax
 from .offsets import to_offsets
-from .optim import AdamState, adam_update, clip_gradients
+from .optim import AdamState, adam_update
 from .recurrent import xavier_init
 from .sketch import Sketch, Stroke
 from .vae import VaeModel, encoder_feature
@@ -158,10 +158,11 @@ def train_segmenter(features, labels, classes, config: SegConfig,
                 raise RuntimeError(f"non-finite segmentation loss at epoch {epoch}")
             if config.learning_rate > 0:
                 loss.backward()
-                grads = clip_gradients(
+                adam_update(
+                    model.params,
                     {k: t.grad if t.grad is not None else np.zeros_like(model.params[k])
-                     for k, t in tp.items()}, config.grad_clip)
-                adam_update(model.params, grads, state, config.learning_rate)
+                     for k, t in tp.items()},
+                    state, config.learning_rate, config.grad_clip)
         record = {"epoch": epoch, "train_loss": float(loss.data)}
         if len(val_idx):
             val_loss = float(_weighted_ce(

@@ -18,7 +18,7 @@ import numpy as np
 from .autodiff import Tensor, as_tensor, concat
 from .mixture import MixtureParams, RawMixture, mixture_nll, split_params, transform_params, apply_temperature, sample_point
 from .offsets import PEN_DRAW, START_ROW, StrokeBatch, augment_scale, make_stroke_batches, to_offsets
-from .optim import AdamState, adam_update, clip_gradients
+from .optim import AdamState, adam_update
 from .recurrent import LstmParams, lstm_sequence, lstm_step, run_lstm, xavier_init
 from .sketch import Sketch, Stroke
 
@@ -360,8 +360,8 @@ def train(m: VaeModel, sketches, epochs: int, rng: np.random.Generator,
                 raise RuntimeError(
                     f"non-finite loss at step {m.step}: {breakdown}")
             if lr > 0:
-                grads = clip_gradients(grads, m.config.grad_clip)
-                adam_update(m.params, grads, state, lr)
+                adam_update(m.params, grads, state, lr, m.config.grad_clip)
+            del grads  # not alive while the next step's tape is built: peak RSS
             history.append({"step": m.step, **breakdown})
             m.step += 1
         if val_batches:

@@ -114,3 +114,29 @@ def test_adam_update_in_place_matches_out_of_place_oracle():
             npt.assert_array_equal(state.v[k], ref_v[k])
             assert params[k] is arrays[k]
             assert state.m[k] is moments[0][k] and state.v[k] is moments[1][k]
+
+
+def test_adam_update_clips_into_scratch_without_touching_grads():
+    rng = np.random.default_rng(31)
+    params = {"w": rng.standard_normal((6, 4)), "b": rng.standard_normal(4),
+              "s": rng.standard_normal(())}
+    ref_p = {k: v.copy() for k, v in params.items()}
+    ref_m = {k: np.zeros_like(v) for k, v in params.items()}
+    ref_v = {k: np.zeros_like(v) for k, v in params.items()}
+    state = AdamState()
+    clipped_some = False
+    for t in range(1, 7):
+        grads = {k: 2.0 * rng.standard_normal(v.shape) for k, v in params.items()}
+        before = {k: g.copy() for k, g in grads.items()}
+        adam_update(params, grads, state, lr=1e-2, threshold=1.5)
+        clipped = {k: np.clip(g, -1.5, 1.5) for k, g in grads.items()}
+        ref_p, ref_m, ref_v = adam_ref(ref_p, clipped, ref_m, ref_v, t, lr=1e-2)
+        clipped_some |= any(np.any(np.abs(g) > 1.5) for g in grads.values())
+        for k in params:
+            npt.assert_array_equal(grads[k], before[k])
+            npt.assert_array_equal(params[k], ref_p[k])
+            npt.assert_array_equal(state.m[k], ref_m[k])
+            npt.assert_array_equal(state.v[k], ref_v[k])
+    assert clipped_some
+    with pytest.raises(ValueError):
+        adam_update(params, grads, state, lr=1e-2, threshold=0.0)

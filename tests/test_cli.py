@@ -236,6 +236,23 @@ def test_eval_seg_checks_folds_before_computing_features(annotated_file, tmp_pat
     assert calls == []
 
 
+def test_eval_seg_rejects_category_that_does_not_match_labels(annotated_file, tmp_path,
+                                                             monkeypatch, capsys):
+    import strokeseg.cli as cli
+    calls = []
+    real = cli.segmentation_feature
+    monkeypatch.setattr(cli, "segmentation_feature",
+                        lambda *args: calls.append(args) or real(*args))
+    rc = main(["eval-seg", "--data", str(annotated_file), "--feature", "idm",
+               "--category", "cat", "--out", str(tmp_path / "seg")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    # chairs' "leg" is also a cat class; "back" and "seat" are not
+    assert "['back', 'seat']" in err[0]
+    assert calls == []
+
+
 def test_eval_seg_tolerates_a_class_missing_from_training_folds(tmp_path):
     sketches = chairs(6, np.random.default_rng(1))
     for sk in sketches:

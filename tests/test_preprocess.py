@@ -6,7 +6,7 @@ from strokeseg.preprocess import (normalize_sketch, preprocess_sketch,
                                   rdp_simplify, remove_tiny_strokes,
                                   resample_stroke)
 from strokeseg.sketch import Sketch, Stroke
-from oracles import rdp_ref, within_band
+from oracles import rdp_indices_ref, rdp_ref, within_band
 
 
 def _sketch(*pointsets, category=None):
@@ -169,3 +169,49 @@ def test_normalize_hits_both_ends_exactly():
         pts = normalize_sketch(Sketch(strokes=[Stroke(points=s) for s in strokes])).all_points()
         assert pts.min() == 0.0
         assert pts.max() == 255.0
+
+
+def _near_tie_polylines(rng):
+    """Polylines whose RDP choices hinge on the last bits of a distance:
+    points at epsilon * (1 +- k ulp-ish) from a rotated chord, resampled
+    circular arcs (mirror-equal distances), and closed loops (a == b)."""
+    for eps in (0.5, 1.0, 2.0):
+        for _ in range(40):
+            theta = rng.uniform(0.0, 2.0 * np.pi)
+            u = np.array([np.cos(theta), np.sin(theta)])
+            a = rng.uniform(20.0, 235.0, size=2)
+            length = rng.uniform(5.0, 60.0)
+            s = np.sort(rng.uniform(0.05, 0.95, size=int(rng.integers(1, 7))))
+            k = rng.integers(-4, 5, size=len(s))
+            side = rng.choice([-1.0, 1.0], size=len(s))
+            off = eps * (1.0 + k * 1e-16) * side
+            inner = a + np.outer(s * length, u) + np.outer(off, [-u[1], u[0]])
+            yield np.vstack([a, inner, a + length * u]), eps
+        for _ in range(20):
+            span = rng.uniform(0.3, 2.0 * np.pi)
+            t = np.linspace(0.0, span, 50)
+            r = rng.uniform(3.0, 120.0)
+            c = rng.uniform(0.0, 255.0, size=2)
+            arc = Stroke(points=c + r * np.column_stack([np.cos(t), np.sin(t)]))
+            yield resample_stroke(arc).points, eps
+        for _ in range(10):
+            t = np.linspace(0.0, 2.0 * np.pi, int(rng.integers(5, 40)))
+            loop = rng.uniform(5.0, 200.0) * np.column_stack([np.cos(t), np.sin(t)])
+            loop[-1] = loop[0]
+            yield loop + rng.uniform(0.0, 50.0, size=2), eps
+
+
+def test_rdp_near_ties_match_scalar_reference():
+    rng = np.random.default_rng(29)
+    for pts, eps in _near_tie_polylines(rng):
+        out = rdp_simplify(Stroke(points=pts), epsilon=eps).points
+        assert np.array_equal(out, pts[rdp_indices_ref(pts, eps)])
+
+
+def test_rdp_keeps_endpoints_when_distances_overflow():
+    # squared lengths overflow to NaN distances; as in the scalar algorithm,
+    # no NaN exceeds epsilon
+    pts = np.random.default_rng(41).uniform(-1.0, 1.0, size=(12, 2)) * 1e300
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = rdp_simplify(Stroke(points=pts), epsilon=2.0).points
+    npt.assert_array_equal(out, pts[[0, -1]])
