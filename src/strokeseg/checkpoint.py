@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -40,16 +41,25 @@ def save_checkpoint(path, model: VaeModel, adam_state: AdamState | None = None) 
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back into (VaeModel, AdamState)."""
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        if meta.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint version in {path}")
-        params = {k: data[f"param.{k}"].copy() for k in meta["param_names"]}
-        state = AdamState(t=meta["adam_t"])
-        for k in meta["param_names"]:
-            if f"adam_m.{k}" in data:
-                state.m[k] = data[f"adam_m.{k}"].copy()
-                state.v[k] = data[f"adam_v.{k}"].copy()
-    config = VaeConfig.from_dict(meta["config"])
+    """Read a checkpoint back into (VaeModel, AdamState).
+
+    A missing file raises OSError; a file that is not a complete checkpoint
+    of this format (truncated, foreign, or lacking an entry) raises one
+    ValueError naming the path.
+    """
+    try:
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+            if meta.get("format_version") != FORMAT_VERSION:
+                raise ValueError("unsupported checkpoint version")
+            params = {k: data[f"param.{k}"].copy() for k in meta["param_names"]}
+            state = AdamState(t=meta["adam_t"])
+            for k in meta["param_names"]:
+                if f"adam_m.{k}" in data:
+                    state.m[k] = data[f"adam_m.{k}"].copy()
+                    state.v[k] = data[f"adam_v.{k}"].copy()
+        config = VaeConfig.from_dict(meta["config"])
+    except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
+        reason = exc if zipfile.is_zipfile(path) else "not an npz archive"
+        raise ValueError(f"cannot read checkpoint {path}: {reason}") from exc
     return VaeModel(config, params, step=meta["step"]), state

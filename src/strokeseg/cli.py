@@ -171,8 +171,8 @@ def cmd_reconstruct(args, argv) -> int:
     outputs = []
     for i, sk in enumerate(sketches):
         panels = [(sk, "input")]
-        for tau in taus:
-            panels.append((reconstruct_sketch(model, sk, tau, rng), f"tau={tau:g}"))
+        panels += [(rec, f"tau={tau:g}")
+                   for rec, tau in zip(reconstruct_sketch(model, sk, taus, rng), taus)]
         path = out_dir / f"recon_{i:04d}.svg"
         path.write_text(render_grid(panels), encoding="utf-8")
         outputs.append(path)

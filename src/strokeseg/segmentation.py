@@ -4,6 +4,11 @@ The feature extractor (a trained stroke encoder, or the orientation-map
 baselines) is never updated here; features are precomputed and the MLP
 (input -> 1024 -> 512 -> C) is trained with class-weighted cross entropy,
 dropout, and early stopping on a held-out slice of the training fold.
+
+The MLP's forward and backward are written out in numpy rather than run on
+the autodiff tape. They repeat the tape's floating-point operations in the
+tape's order, so losses, gradients and trained weights are bit-identical to
+the tape version kept in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, log_softmax
 from .offsets import to_offsets
 from .optim import AdamState, adam_update
 from .recurrent import xavier_init
@@ -66,20 +70,55 @@ class SegModel:
         }
         return cls(params, classes, config.keep_prob)
 
-    def tensors(self, requires_grad: bool = False) -> dict:
-        return {k: Tensor(v, requires_grad=requires_grad)
-                for k, v in self.params.items()}
+
+def _forward(p: dict, x: np.ndarray, masks: tuple | None = None):
+    """relu -> dropout -> relu -> dropout -> affine -> log softmax.
+
+    Returns the (B, C) log-probabilities and what `_backward` reads. The log
+    softmax is y - (log sum exp(y - m) + m) with m the finite row max.
+    """
+    mask1, mask2 = masks if masks is not None else (None, None)
+    a1 = x @ p["w_h1"] + p["b_h1"]
+    h1 = np.maximum(a1, 0.0)
+    if mask1 is not None:
+        h1 *= mask1
+    a2 = h1 @ p["w_h2"] + p["b_h2"]
+    h2 = np.maximum(a2, 0.0)
+    if mask2 is not None:
+        h2 *= mask2
+    y = h2 @ p["w_o"] + p["b_o"]
+    m = np.max(y, axis=-1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    e = np.exp(y + (-m))
+    s = e.sum(axis=-1, keepdims=True)
+    log_p = y + (-(np.log(s) + m))
+    return log_p, (x, mask1, mask2, a1, h1, a2, h2, e, s)
 
 
-def _log_probs(tp: dict, x, masks: tuple | None = None) -> Tensor:
-    """relu -> dropout -> relu -> dropout -> affine -> log softmax."""
-    h1 = (as_tensor(x) @ tp["w_h1"] + tp["b_h1"]).relu()
-    if masks is not None:
-        h1 = h1 * masks[0]
-    h2 = (h1 @ tp["w_h2"] + tp["b_h2"]).relu()
-    if masks is not None:
-        h2 = h2 * masks[1]
-    return log_softmax(h2 @ tp["w_o"] + tp["b_o"], axis=-1)
+def _backward(p: dict, cache: tuple, onehot: np.ndarray, grads: dict) -> None:
+    """Gradients of `_weighted_ce` with respect to every parameter, written
+    into the arrays of `grads`: biases get row sums, weights h.T @ g."""
+    x, mask1, mask2, a1, h1, a2, h2, e, s = cache
+    g_logp = ((-1.0) * (1.0 / len(x))) * onehot
+    g = g_logp + (-g_logp.sum(axis=-1, keepdims=True)) / s * e
+    np.sum(g, axis=0, out=grads["b_o"])
+    np.matmul(h2.T, g, out=grads["w_o"])
+    g = _hidden_grad(g, p["w_o"], mask2, a2)
+    np.sum(g, axis=0, out=grads["b_h2"])
+    np.matmul(h1.T, g, out=grads["w_h2"])
+    g = _hidden_grad(g, p["w_h2"], mask1, a1)
+    np.sum(g, axis=0, out=grads["b_h1"])
+    np.matmul(x.T, g, out=grads["w_h1"])
+
+
+def _hidden_grad(g: np.ndarray, w: np.ndarray, mask, a: np.ndarray) -> np.ndarray:
+    """Gradient at pre-activation `a` from the gradient `g` of the layer it
+    feeds through `w`: (g @ w.T) * mask * (a > 0)."""
+    g = g @ w.T
+    if mask is not None:
+        g *= mask
+    g *= a > 0.0
+    return g
 
 
 def seg_forward(m: SegModel, features) -> np.ndarray:
@@ -92,7 +131,7 @@ def seg_forward(m: SegModel, features) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != width:
         raise ValueError(f"features of shape {x.shape} do not match the model's "
                          f"(B, {width}) input")
-    return np.exp(_log_probs(m.tensors(), x).data)
+    return np.exp(_forward(m.params, x)[0])
 
 
 def class_weights(counts) -> np.ndarray:
@@ -108,12 +147,16 @@ def class_weights(counts) -> np.ndarray:
     return e / e.sum()
 
 
-def _weighted_ce(tp: dict, x, y_idx: np.ndarray, w: np.ndarray,
-                 masks: tuple | None = None) -> Tensor:
-    log_p = _log_probs(tp, x, masks)
+def _onehot(y_idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(B, C) rows holding each row's class weight at its label."""
     onehot = np.zeros((len(y_idx), w.size))
     onehot[np.arange(len(y_idx)), y_idx] = w[y_idx]
-    return (log_p * as_tensor(onehot)).sum(axis=-1).mean() * -1.0
+    return onehot
+
+
+def _weighted_ce(log_p: np.ndarray, onehot: np.ndarray) -> float:
+    """Mean over rows of the weighted negative log-likelihood."""
+    return float(((log_p * onehot).sum(axis=-1).sum() * (1.0 / len(log_p))) * -1.0)
 
 
 def train_segmenter(features, labels, classes, config: SegConfig,
@@ -139,6 +182,8 @@ def train_segmenter(features, labels, classes, config: SegConfig,
     w = np.zeros(len(counts))
     w[present] = class_weights(counts[present])
     state = AdamState()
+    grads = {k: np.empty_like(v) for k, v in model.params.items()}
+    x_val, onehot_val = features[val_idx], _onehot(labels[val_idx], w)
     best = {k: v.copy() for k, v in model.params.items()}
     best_val = np.inf
     stall = 0
@@ -146,27 +191,23 @@ def train_segmenter(features, labels, classes, config: SegConfig,
         perm = rng.permutation(len(tr_idx))
         for start in range(0, len(perm), config.batch_size):
             rows = tr_idx[perm[start:start + config.batch_size]]
-            x, y = features[rows], labels[rows]
+            x, onehot = features[rows], _onehot(labels[rows], w)
             masks = None
             if config.keep_prob < 1.0:
                 masks = tuple((rng.random((len(rows), h)) < config.keep_prob)
                               / config.keep_prob
                               for h in (config.hidden1, config.hidden2))
-            tp = model.tensors(requires_grad=True)
-            loss = _weighted_ce(tp, x, y, w, masks)
-            if not np.isfinite(loss.data):
+            log_p, cache = _forward(model.params, x, masks)
+            loss = _weighted_ce(log_p, onehot)
+            if not np.isfinite(loss):
                 raise RuntimeError(f"non-finite segmentation loss at epoch {epoch}")
             if config.learning_rate > 0:
-                loss.backward()
-                adam_update(
-                    model.params,
-                    {k: t.grad if t.grad is not None else np.zeros_like(model.params[k])
-                     for k, t in tp.items()},
-                    state, config.learning_rate, config.grad_clip)
-        record = {"epoch": epoch, "train_loss": float(loss.data)}
+                _backward(model.params, cache, onehot, grads)
+                adam_update(model.params, grads, state, config.learning_rate,
+                            config.grad_clip)
+        record = {"epoch": epoch, "train_loss": loss}
         if len(val_idx):
-            val_loss = float(_weighted_ce(
-                model.tensors(), features[val_idx], labels[val_idx], w).data)
+            val_loss = _weighted_ce(_forward(model.params, x_val)[0], onehot_val)
             record["val_loss"] = val_loss
             if val_loss < best_val:
                 best_val = val_loss

@@ -375,20 +375,25 @@ def train(m: VaeModel, sketches, epochs: int, rng: np.random.Generator,
     return m, history
 
 
-def reconstruct_sketch(m: VaeModel, sketch: Sketch, tau: float,
-                       rng: np.random.Generator) -> Sketch:
-    """Encode, sample z, and redraw each stroke; reassemble in order.
+def reconstruct_sketch(m: VaeModel, sketch: Sketch, taus,
+                       rng: np.random.Generator):
+    """Encode each stroke once, then per temperature sample z and redraw each
+    stroke; reassemble in order. `taus` is a sequence of temperatures and
+    gives one Sketch per temperature; a single float gives one Sketch.
 
     Absolute positions come from cumulative summation starting at the canvas
     origin, matching the first-point offset convention.
     """
-    strokes = []
-    for stroke in sketch.strokes:
-        mu, sigma_hat = encode(m, to_offsets(stroke)[None])
-        z = sample_latent(mu, sigma_hat, rng=rng)
-        sampled = decode_sample(m, z.data, tau, rng)
-        pts = np.cumsum(sampled[:, :2], axis=0)
-        if len(pts) < 2:
-            pts = np.vstack([pts, pts[-1]])
-        strokes.append(Stroke(points=pts))
-    return Sketch(strokes=strokes, category=sketch.category)
+    posteriors = [encode(m, to_offsets(stroke)[None]) for stroke in sketch.strokes]
+    out = []
+    for tau in np.atleast_1d(taus):
+        strokes = []
+        for mu, sigma_hat in posteriors:
+            z = sample_latent(mu, sigma_hat, rng=rng)
+            sampled = decode_sample(m, z.data, float(tau), rng)
+            pts = np.cumsum(sampled[:, :2], axis=0)
+            if len(pts) < 2:
+                pts = np.vstack([pts, pts[-1]])
+            strokes.append(Stroke(points=pts))
+        out.append(Sketch(strokes=strokes, category=sketch.category))
+    return out if np.ndim(taus) else out[0]

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from strokeseg.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
-from strokeseg.optim import AdamState, adam_update, clip_gradients
+from strokeseg.optim import BLOCK, AdamState, adam_update, clip_gradients
 from strokeseg.vae import VaeConfig, VaeModel, train
 from oracles import adam_ref
 from synthdata import toy_strokes
@@ -118,8 +118,10 @@ def test_adam_update_in_place_matches_out_of_place_oracle():
 
 def test_adam_update_clips_into_scratch_without_touching_grads():
     rng = np.random.default_rng(31)
+    # "big" spans two full blocks and a partial one; "one" has one element
     params = {"w": rng.standard_normal((6, 4)), "b": rng.standard_normal(4),
-              "s": rng.standard_normal(())}
+              "s": rng.standard_normal(()), "one": rng.standard_normal(1),
+              "big": rng.standard_normal((5, BLOCK // 2 + 7))}
     ref_p = {k: v.copy() for k, v in params.items()}
     ref_m = {k: np.zeros_like(v) for k, v in params.items()}
     ref_v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -140,3 +142,7 @@ def test_adam_update_clips_into_scratch_without_touching_grads():
     assert clipped_some
     with pytest.raises(ValueError):
         adam_update(params, grads, state, lr=1e-2, threshold=0.0)
+    # a strided parameter cannot be updated through a flat view
+    with pytest.raises(ValueError):
+        adam_update({"w": np.ones((4, 6))[:, ::2]}, {"w": np.ones((4, 3))},
+                    AdamState(), lr=1e-2)

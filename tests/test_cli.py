@@ -166,6 +166,33 @@ def test_reconstruct_requires_a_temperature(raw_file, config_file, tmp_path, cap
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage", ["truncated", "missing_param", "foreign"])
+def test_bad_checkpoint_is_one_error_line(raw_file, annotated_file, config_file,
+                                          tmp_path, capsys, damage):
+    run = tmp_path / "run"
+    main(["train-vae", "--data", str(raw_file), "--config", str(config_file),
+          "--epochs", "0", "--out", str(run)])
+    good = run / "checkpoints" / "final.npz"
+    bad = tmp_path / "bad.npz"
+    if damage == "truncated":
+        bad.write_bytes(good.read_bytes()[:-40])
+    elif damage == "foreign":
+        bad.write_text("not a checkpoint\n", encoding="utf-8")
+    else:
+        with np.load(good) as z:
+            np.savez(bad, **{k: z[k] for k in z.files if k != "param.w_mu"})
+    capsys.readouterr()
+    for argv in (["reconstruct", "--checkpoint", str(bad), "--data", str(raw_file),
+                  "--out", str(tmp_path / "recon")],
+                 ["eval-seg", "--data", str(annotated_file), "--feature", "nn",
+                  "--encoder", str(bad), "--folds", "3", "--epochs", "1",
+                  "--out", str(tmp_path / "seg")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert str(bad) in err[0] and "pickle" not in err[0]
+
+
 def test_render_single_sketch(annotated_file, tmp_path):
     out = tmp_path / "sketch.svg"
     assert main(["render", "--data", str(annotated_file), "--index", "1",

@@ -2,14 +2,18 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from strokeseg.autodiff import Tensor
+from strokeseg.gradcheck import finite_difference_check
 from strokeseg.segmentation import (CvReport, SegConfig, SegModel,
                                     class_weights, confusion_matrix,
                                     cross_validate, evaluate_accuracy,
                                     extract_feature, predict_labels,
-                                    seg_forward, train_segmenter, _weighted_ce)
+                                    seg_forward, train_segmenter, _backward,
+                                    _forward, _onehot, _weighted_ce)
 from strokeseg.sketch import Sketch, Stroke
 from strokeseg.vae import VaeConfig, VaeModel
 from oracles import log_softmax_ref, softmax_ref
+from tape_mlp import tape_log_probs, tape_weighted_ce, tensors
 
 
 def test_class_weights_matches_softmax_of_negative_proportions():
@@ -73,8 +77,72 @@ def test_weighted_ce_matches_numpy_reference():
         h2 = np.maximum(h1 @ p["w_h2"] + p["b_h2"], 0.0) * (1.0 if mk is None else mk[1])
         log_p = log_softmax_ref(h2 @ p["w_o"] + p["b_o"])
         expected = -np.mean(w[y] * log_p[np.arange(len(y)), y])
-        npt.assert_allclose(_weighted_ce(m.tensors(), x, y, w, mk).data, expected,
+        npt.assert_allclose(tape_weighted_ce(tensors(p), x, y, w, mk).data, expected,
                             rtol=1e-12)
+
+
+def _step(params, x, y, w, masks):
+    """Loss and gradients of the hand-written forward and backward."""
+    onehot = _onehot(y, w)
+    log_p, cache = _forward(params, x, masks)
+    grads = {k: np.empty_like(v) for k, v in params.items()}
+    _backward(params, cache, onehot, grads)
+    return _weighted_ce(log_p, onehot), grads
+
+
+@pytest.mark.parametrize("case", ["masks", "no_masks", "zero_weight_class"])
+def test_hand_written_step_is_bit_equal_to_tape_oracle(case):
+    rng = np.random.default_rng(41)
+    m = _toy_model(rng, classes=("a", "b", "c", "d"), input_size=9)
+    for k in ("b_h1", "b_h2", "b_o"):
+        m.params[k][:] = 0.3 * rng.standard_normal(m.params[k].shape)
+    x = rng.standard_normal((11, 9))
+    y = rng.integers(0, 4, size=11)
+    w = class_weights([3, 1, 2, 5])
+    masks = None
+    if case == "masks":
+        masks = tuple((rng.random((11, h)) < 0.5) / 0.5 for h in (16, 8))
+    if case == "zero_weight_class":
+        w[y[0]] = 0.0
+    loss, grads = _step(m.params, x, y, w, masks)
+    tp = tensors(m.params, requires_grad=True)
+    tape_loss = tape_weighted_ce(tp, x, y, w, masks)
+    tape_loss.backward()
+    assert loss == float(tape_loss.data)
+    assert set(grads) == set(tp)
+    for k in grads:
+        npt.assert_array_equal(grads[k], tp[k].grad)
+
+
+def test_hand_written_gradients_match_finite_differences():
+    rng = np.random.default_rng(42)
+    m = SegModel.init(3, ["a", "b", "c"], SegConfig(hidden1=5, hidden2=4), rng)
+    for k in ("b_h1", "b_h2", "b_o"):
+        m.params[k][:] = 0.5 * rng.standard_normal(m.params[k].shape)
+    x = rng.standard_normal((6, 3))
+    y = np.array([0, 1, 2, 2, 1, 0])
+    w = class_weights([2, 1, 3])
+    masks = tuple((rng.random((6, h)) < 0.7) / 0.7 for h in (5, 4))
+    assert finite_difference_check(lambda p: _step(p, x, y, w, masks), m.params) < 1e-6
+
+
+def test_seg_forward_is_bit_equal_to_tape_oracle():
+    rng = np.random.default_rng(43)
+    m = _toy_model(rng)
+    x = rng.standard_normal((7, 4))
+    npt.assert_array_equal(seg_forward(m, x),
+                           np.exp(tape_log_probs(tensors(m.params), x).data))
+
+
+def test_train_segmenter_does_not_use_the_tape(monkeypatch):
+    def no_tape(self, grad=None):
+        raise AssertionError("Tensor.backward called")
+
+    monkeypatch.setattr(Tensor, "backward", no_tape)
+    feats, labels = _blobs(np.random.default_rng(44), n_per_class=10)
+    cfg = SegConfig(hidden1=8, hidden2=4, epochs=2, batch_size=8)
+    m = train_segmenter(feats, labels, ["a", "b", "c"], cfg, np.random.default_rng(45))
+    assert len(m.history) == 2
 
 
 def test_seg_forward_inference_is_deterministic():

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from strokeseg import vae
 from strokeseg.offsets import make_stroke_batches, to_offsets
 from strokeseg.sketch import Sketch, Stroke
 from strokeseg.vae import (VaeConfig, VaeModel, decode_sample,
@@ -290,6 +291,29 @@ def test_reconstruct_sketch_preserves_stroke_count():
     for s in out.strokes:
         assert len(s.points) >= 2
         assert np.all(np.isfinite(s.points))
+
+
+def test_reconstruct_sketch_encodes_once_for_all_temperatures(monkeypatch):
+    cfg = VaeConfig(enc_hidden=4, dec_hidden=8, num_mixtures=2, latent_size=3,
+                    batch_size=2, keep_prob=1.0, max_len=10)
+    m = VaeModel.init(cfg, np.random.default_rng(13))
+    sk = Sketch(strokes=[_line_sketch().strokes[0],
+                         _line_sketch(dx=0.0, dy=2.0).strokes[0]])
+    rng = np.random.default_rng(14)
+    one_at_a_time = [reconstruct_sketch(m, sk, tau, rng) for tau in (0.01, 0.5, 1.0)]
+    calls = []
+
+    def counting_encode(*args):
+        calls.append(args)
+        return encode(*args)
+
+    monkeypatch.setattr(vae, "encode", counting_encode)
+    out = reconstruct_sketch(m, sk, [0.01, 0.5, 1.0], np.random.default_rng(14))
+    assert len(calls) == len(sk)
+    assert len(out) == 3
+    for got, want in zip(out, one_at_a_time):
+        for a, b in zip(got.strokes, want.strokes):
+            np.testing.assert_array_equal(a.points, b.points)
 
 
 def test_tape_size_does_not_grow_with_sequence_length():
