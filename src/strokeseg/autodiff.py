@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tensor", "as_tensor", "concat", "logsumexp", "log_softmax", "sigmoid"]
+__all__ = ["Tensor", "as_tensor", "concat", "logsumexp", "log_softmax"]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -280,18 +280,6 @@ def concat(tensors, axis: int = -1) -> Tensor:
                 t._accum(g[tuple(index)])
 
     return out._track(tuple(tensors), bw)
-
-
-def sigmoid(t: Tensor) -> Tensor:
-    t = as_tensor(t)
-    value = 1.0 / (1.0 + np.exp(-t.data))
-    out = Tensor(value)
-
-    def bw(g):
-        if t.requires_grad:
-            t._accum(g * value * (1.0 - value))
-
-    return out._track((t,), bw)
 
 
 def logsumexp(t: Tensor, axis: int, keepdims: bool = False) -> Tensor:

@@ -13,7 +13,7 @@ from .vae import VaeConfig, VaeModel
 
 __all__ = ["save_checkpoint", "load_checkpoint"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 2: LSTM gate layer norms stored as (4, H) ln_g / ln_b
 
 
 def save_checkpoint(path, model: VaeModel, adam_state: AdamState | None = None) -> None:
@@ -43,21 +43,27 @@ def save_checkpoint(path, model: VaeModel, adam_state: AdamState | None = None) 
 def load_checkpoint(path):
     """Read a checkpoint back into (VaeModel, AdamState).
 
-    A missing file raises OSError; a file that is not a complete checkpoint
-    of this format (truncated, foreign, or lacking an entry) raises one
+    A missing file raises OSError; a file that is not a complete, finite
+    checkpoint of this format (truncated, foreign, another format version,
+    lacking an entry, or holding a NaN or inf in any array) raises one
     ValueError naming the path.
     """
     try:
         with np.load(path) as data:
             meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-            if meta.get("format_version") != FORMAT_VERSION:
-                raise ValueError("unsupported checkpoint version")
+            version = meta.get("format_version")
+            if version != FORMAT_VERSION:
+                raise ValueError(f"unsupported checkpoint format version {version}")
             params = {k: data[f"param.{k}"].copy() for k in meta["param_names"]}
             state = AdamState(t=meta["adam_t"])
             for k in meta["param_names"]:
                 if f"adam_m.{k}" in data:
                     state.m[k] = data[f"adam_m.{k}"].copy()
                     state.v[k] = data[f"adam_v.{k}"].copy()
+        for prefix, arrays in (("param", params), ("adam_m", state.m), ("adam_v", state.v)):
+            for k, v in arrays.items():
+                if not np.isfinite(v).all():
+                    raise ValueError(f"non-finite values in {prefix}.{k}")
         config = VaeConfig.from_dict(meta["config"])
     except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
         reason = exc if zipfile.is_zipfile(path) else "not an npz archive"

@@ -85,16 +85,20 @@ def split_params(y, num_mixtures: int) -> RawMixture:
     )
 
 
+def _check_finite(raw: RawMixture) -> None:
+    for name in ("pi_hat", "mu_x", "mu_y", "sigma_x_hat", "sigma_y_hat",
+                 "rho_hat", "q_hat"):
+        if not np.all(np.isfinite(_np(getattr(raw, name)))):
+            raise ValueError(f"non-finite raw mixture values in {name}")
+
+
 def transform_params(raw: RawMixture) -> MixtureParams:
     """Map unconstrained outputs to valid mixture parameters.
 
     Weights and pen states use a softmax (kept in the log domain);
     sigma = exp(sigma_hat) > 0 and rho = tanh(rho_hat) in (-1, 1).
     """
-    for name in ("pi_hat", "mu_x", "mu_y", "sigma_x_hat", "sigma_y_hat",
-                 "rho_hat", "q_hat"):
-        if not np.all(np.isfinite(_np(getattr(raw, name)))):
-            raise ValueError(f"non-finite raw mixture values in {name}")
+    _check_finite(raw)
     return MixtureParams(
         log_pi=log_softmax(as_tensor(raw.pi_hat), axis=-1),
         mu_x=as_tensor(raw.mu_x),
@@ -148,23 +152,24 @@ def mixture_nll(params: MixtureParams, dx, dy) -> Tensor:
     return (as_tensor(NLL_FLOOR) - nll).relu() * -1.0 + NLL_FLOOR
 
 
-def apply_temperature(raw: RawMixture, params: MixtureParams, tau: float) -> MixtureParams:
-    """Temper the sampling distribution.
+def apply_temperature(raw: RawMixture, tau: float) -> MixtureParams:
+    """Tempered sampling distribution of raw decoder outputs, plain numpy.
 
     Mixture and pen logits are divided by tau before the softmax; variances
-    scale by tau (sigma -> sigma * sqrt(tau)). tau=1 reproduces `params`;
-    tau -> 0 approaches greedy decoding.
+    scale by tau (sigma = exp(sigma_hat) * sqrt(tau)). tau=1 reproduces
+    `transform_params(raw)`; tau -> 0 approaches greedy decoding.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must be in (0, 1]")
+    _check_finite(raw)
     root_tau = np.sqrt(tau)
     return MixtureParams(
         log_pi=log_softmax(as_tensor(_np(raw.pi_hat) / tau), axis=-1),
-        mu_x=as_tensor(_np(params.mu_x)),
-        mu_y=as_tensor(_np(params.mu_y)),
-        sigma_x=as_tensor(_np(params.sigma_x) * root_tau),
-        sigma_y=as_tensor(_np(params.sigma_y) * root_tau),
-        rho=as_tensor(_np(params.rho)),
+        mu_x=as_tensor(_np(raw.mu_x)),
+        mu_y=as_tensor(_np(raw.mu_y)),
+        sigma_x=as_tensor(np.exp(_np(raw.sigma_x_hat)) * root_tau),
+        sigma_y=as_tensor(np.exp(_np(raw.sigma_y_hat)) * root_tau),
+        rho=as_tensor(np.tanh(_np(raw.rho_hat))),
         log_q=log_softmax(as_tensor(_np(raw.q_hat) / tau), axis=-1),
     )
 

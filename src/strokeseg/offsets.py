@@ -16,7 +16,7 @@ from .sketch import Sketch, Stroke
 
 __all__ = [
     "PEN_DRAW", "PEN_UP", "PEN_END", "PADDING_ROW", "START_ROW",
-    "to_offsets", "from_offsets", "StrokeBatch", "make_stroke_batches",
+    "to_offsets", "StrokeBatch", "make_stroke_batches",
     "augment_scale",
 ]
 
@@ -46,28 +46,6 @@ def to_offsets(stroke: Stroke, origin=(0.0, 0.0)) -> np.ndarray:
     out[:-1, 2 + PEN_DRAW] = 1.0
     out[-1, 2 + PEN_UP] = 1.0
     return out
-
-
-def from_offsets(rows: np.ndarray, origin=(0.0, 0.0)) -> Stroke:
-    """Invert to_offsets: cumulative-sum displacements from `origin`.
-
-    Padding rows (p3 set) are ignored; the stroke ends at the first p2 row
-    if one is present.
-    """
-    rows = np.asarray(rows, dtype=np.float64)
-    pts = []
-    pos = np.asarray(origin, dtype=np.float64).copy()
-    for row in rows:
-        pen = int(np.argmax(row[2:5]))
-        if pen == PEN_END:
-            break
-        pos = pos + row[:2]
-        pts.append(pos.copy())
-        if pen == PEN_UP:
-            break
-    if len(pts) < 2:
-        raise ValueError("offset rows decode to fewer than 2 points")
-    return Stroke(points=np.array(pts))
 
 
 @dataclass

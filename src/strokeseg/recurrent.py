@@ -20,8 +20,7 @@ import numpy as np
 
 from .autodiff import Tensor, as_tensor
 
-__all__ = ["LstmParams", "xavier_init", "layer_norm", "lstm_sequence", "lstm_step",
-           "run_lstm"]
+__all__ = ["LstmParams", "xavier_init", "lstm_sequence", "lstm_step", "run_lstm"]
 
 LN_EPS = 1e-6
 
@@ -34,20 +33,6 @@ def xavier_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(rows, cols))
 
 
-def layer_norm(v, gain, bias, eps: float = LN_EPS) -> Tensor:
-    """Normalize over the last axis, then scale and shift.
-
-    Statistics are taken per vector (per row for batched input).
-    """
-    v = as_tensor(v)
-    if v.shape[-1] < 2:
-        raise ValueError("layer_norm needs vectors of length >= 2")
-    mu = v.mean(axis=-1, keepdims=True)
-    centered = v - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered * ((var + eps) ** -0.5) * as_tensor(gain) + as_tensor(bias)
-
-
 @dataclass
 class LstmParams:
     """Weights for one cell. Gate blocks are ordered [input, forget, candidate, output].
@@ -55,21 +40,15 @@ class LstmParams:
     w_x: (input_size, 4H) input weights, one Xavier block per gate.
     w_h: (H, 4H) recurrent weights.
     b:   (4H,) pre-activation bias.
-    ln_g*/ln_b* pairs: layer-norm gain and bias per gate block; ln_gc/ln_bc
-    normalize the cell state on the output path.
+    ln_g/ln_b: (4, H) layer-norm gain and bias, one row per gate block;
+    ln_gc/ln_bc: (H,) normalize the cell state on the output path.
     """
 
     w_x: object
     w_h: object
     b: object
-    ln_gi: object
-    ln_bi: object
-    ln_gf: object
-    ln_bf: object
-    ln_gg: object
-    ln_bg: object
-    ln_go: object
-    ln_bo: object
+    ln_g: object
+    ln_b: object
     ln_gc: object
     ln_bc: object
 
@@ -78,17 +57,10 @@ class LstmParams:
         h = hidden_size
         w_x = np.hstack([xavier_init(input_size, h, rng) for _ in range(4)])
         w_h = np.hstack([xavier_init(h, h, rng) for _ in range(4)])
-        ones = np.ones(h)
-        zeros = np.zeros(h)
-        # Forget-gate layer-norm bias starts at 1 for stable early training.
-        return cls(
-            w_x=w_x, w_h=w_h, b=np.zeros(4 * h),
-            ln_gi=ones.copy(), ln_bi=zeros.copy(),
-            ln_gf=ones.copy(), ln_bf=np.ones(h),
-            ln_gg=ones.copy(), ln_bg=zeros.copy(),
-            ln_go=ones.copy(), ln_bo=zeros.copy(),
-            ln_gc=ones.copy(), ln_bc=zeros.copy(),
-        )
+        ln_b = np.zeros((4, h))
+        ln_b[1] = 1.0  # forget-gate bias starts at 1 for stable early training
+        return cls(w_x=w_x, w_h=w_h, b=np.zeros(4 * h), ln_g=np.ones((4, h)), ln_b=ln_b,
+                   ln_gc=np.ones(h), ln_bc=np.zeros(h))
 
     def to_dict(self, prefix: str) -> dict:
         return {f"{prefix}.{f.name}": getattr(self, f.name) for f in fields(self)}
@@ -99,8 +71,7 @@ class LstmParams:
 
     @property
     def hidden_size(self) -> int:
-        arr = self.w_h.data if isinstance(self.w_h, Tensor) else self.w_h
-        return arr.shape[0]
+        return self.w_h.shape[0]
 
 
 # The sigmoid gates (input, forget, output) use sigmoid(y) = (1 + tanh(y / 2)) / 2,
@@ -145,25 +116,21 @@ def lstm_sequence(p: LstmParams, xs, mask: np.ndarray | None = None,
     if length < 1:
         raise ValueError("lstm_sequence needs at least one step")
     n = p.hidden_size
-    w_x, w_h, b = (as_tensor(v) for v in (p.w_x, p.w_h, p.b))
-    gains = [as_tensor(v) for v in (p.ln_gi, p.ln_gf, p.ln_gg, p.ln_go)]
-    biases = [as_tensor(v) for v in (p.ln_bi, p.ln_bf, p.ln_bg, p.ln_bo)]
-    gain_c, bias_c = as_tensor(p.ln_gc), as_tensor(p.ln_bc)
+    w_x, w_h, b, gain, bias, gain_c, bias_c = (
+        as_tensor(v) for v in (p.w_x, p.w_h, p.b, p.ln_g, p.ln_b, p.ln_gc, p.ln_bc))
     width = d_in + (0 if extra is None else extra.shape[-1])
     if w_x.shape[0] != width:
         raise ValueError(f"lstm input size {width} does not match weights {w_x.shape[0]}")
     h0 = as_tensor(np.zeros((bsz, n)) if h0 is None else h0)
     c0 = as_tensor(np.zeros((bsz, n)) if c0 is None else c0)
-    parents = (xs, w_x, w_h, b, *gains, *biases, gain_c, bias_c, h0, c0)
+    parents = (xs, w_x, w_h, b, gain, bias, gain_c, bias_c, h0, c0)
     if extra is not None:
         parents += (extra,)
     keep = any(t.requires_grad for t in parents)
 
     wx, wh = w_x.data, w_h.data
-    g4 = np.stack([g.data for g in gains])
-    g4_half = g4 * _HALF
-    b4_half = np.stack([v.data for v in biases]) * _HALF
-    gc, bc = gain_c.data, bias_c.data
+    g4, gc, bc = gain.data, gain_c.data, bias_c.data
+    g4_half, b4_half = g4 * _HALF, bias.data * _HALF
     # no dropout is the scale 1.0, which leaves every product bit for bit unchanged
     drop = 1.0 if dropout_mask is None else np.asarray(dropout_mask, dtype=np.float64)
     mask_t = None if mask is None else np.asarray(mask, dtype=np.float64).T[:, :, None]
@@ -266,13 +233,10 @@ def lstm_sequence(p: LstmParams, xs, mask: np.ndarray | None = None,
             w_h._accum(h_prev.reshape(length * bsz, n).T @ flat)
         if b.requires_grad:
             b._accum(flat.sum(axis=0))
-        d_g4 = (coef * norm).sum(axis=(0, 1))
-        d_b4 = coef.sum(axis=(0, 1))
-        for k in range(4):
-            if gains[k].requires_grad:
-                gains[k]._accum(d_g4[k])
-            if biases[k].requires_grad:
-                biases[k]._accum(d_b4[k])
+        if gain.requires_grad:
+            gain._accum((coef * norm).sum(axis=(0, 1)))
+        if bias.requires_grad:
+            bias._accum(coef.sum(axis=(0, 1)))
         if gain_c.requires_grad:
             gain_c._accum((coef_c * norm_c).sum(axis=(0, 1)))
         if bias_c.requires_grad:

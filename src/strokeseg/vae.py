@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .autodiff import Tensor, as_tensor, concat
-from .mixture import MixtureParams, RawMixture, mixture_nll, split_params, transform_params, apply_temperature, sample_point
+from .mixture import (MixtureParams, RawMixture, apply_temperature, mixture_nll, sample_point,
+                      split_params, transform_params)
 from .offsets import PEN_DRAW, START_ROW, StrokeBatch, augment_scale, make_stroke_batches, to_offsets
 from .optim import AdamState, adam_update
 from .recurrent import LstmParams, lstm_sequence, lstm_step, run_lstm, xavier_init
@@ -144,15 +145,10 @@ def encoder_feature(m: VaeModel, seq, mask: np.ndarray | None = None) -> np.ndar
     return _encoder_pass(m.tensors(), seq, mask, {}).data
 
 
-def sample_latent(mu, sigma_hat, rng: np.random.Generator | None = None,
-                  noise: np.ndarray | None = None) -> Tensor:
+def sample_latent(mu, sigma_hat, noise: np.ndarray) -> Tensor:
     """Reparameterized draw z = mu + exp(sigma_hat / 2) * noise."""
     mu = as_tensor(mu)
     sigma_hat = as_tensor(sigma_hat)
-    if noise is None:
-        if rng is None:
-            raise ValueError("sample_latent needs an rng or explicit noise")
-        noise = rng.standard_normal(mu.shape)
     return mu + (sigma_hat * 0.5).exp() * np.asarray(noise, dtype=np.float64)
 
 
@@ -207,8 +203,7 @@ def decode_sample(m: VaeModel, z, tau: float, rng: np.random.Generator,
         h, c = lstm_step(dec, x_t, h, c)
         y = (h @ tp["w_y"] + tp["b_y"]).data[0]
         raw = split_params(y, m.config.num_mixtures)
-        tempered = apply_temperature(raw, transform_params(raw), tau)
-        dx, dy, pen = sample_point(tempered, rng)
+        dx, dy, pen = sample_point(apply_temperature(raw, tau), rng)
         s = np.zeros((1, 5))
         s[0, 0], s[0, 1] = dx, dy
         s[0, 2 + pen] = 1.0
@@ -278,7 +273,7 @@ def total_loss(m: VaeModel, batch: StrokeBatch, step: int,
     if noise is None:
         noise = rng.standard_normal(mu.shape) if rng is not None \
             else np.zeros(mu.shape)
-    z = sample_latent(mu, sigma_hat, noise=noise)
+    z = sample_latent(mu, sigma_hat, noise)
     raw = decode_teacher_forced(m, z, seq, tp, dm.get("dec"))
     mix = transform_params(raw)
     j_d = _masked_displacement_loss(mix, seq[:, :, 0], seq[:, :, 1], mask)
@@ -322,10 +317,11 @@ def train(m: VaeModel, sketches, epochs: int, rng: np.random.Generator,
 
     Per epoch: shuffle sketches, rebuild batches, optionally scale-augment
     displacements, clip gradients, Adam step. History holds one record per
-    optimization step. A non-finite loss aborts with the offending step's
-    breakdown. Validation (when the corpus is large enough for a split)
-    tracks the best deterministic loss; checkpoints go to checkpoint_dir at
-    every epoch end plus a best-validation snapshot.
+    optimization step. A non-finite mixture head or loss aborts with a
+    RuntimeError naming the step (and the loss's breakdown). Validation
+    (when the corpus is large enough for a split) tracks the best
+    deterministic loss; checkpoints go to checkpoint_dir at every epoch end
+    plus a best-validation snapshot.
     """
     from pathlib import Path
 
@@ -354,8 +350,11 @@ def train(m: VaeModel, sketches, epochs: int, rng: np.random.Generator,
                 seqs = np.stack([augment_scale(row, rng) for row in seqs])
                 batch = StrokeBatch(seqs, batch.mask, batch.temporal_index)
             dm = _dropout_masks(m.config, seqs.shape[0], rng)
-            total, grads, breakdown = loss_and_grads(
-                m, batch, m.step, rng=rng, dropout_masks=dm)
+            try:
+                total, grads, breakdown = loss_and_grads(
+                    m, batch, m.step, rng=rng, dropout_masks=dm)
+            except ValueError as exc:  # a non-finite mixture head
+                raise RuntimeError(f"{exc} at step {m.step}") from exc
             if not np.isfinite(total):
                 raise RuntimeError(
                     f"non-finite loss at step {m.step}: {breakdown}")
@@ -389,7 +388,7 @@ def reconstruct_sketch(m: VaeModel, sketch: Sketch, taus,
     for tau in np.atleast_1d(taus):
         strokes = []
         for mu, sigma_hat in posteriors:
-            z = sample_latent(mu, sigma_hat, rng=rng)
+            z = sample_latent(mu, sigma_hat, rng.standard_normal(mu.shape))
             sampled = decode_sample(m, z.data, float(tau), rng)
             pts = np.cumsum(sampled[:, :2], axis=0)
             if len(pts) < 2:

@@ -47,6 +47,24 @@ def kl_monte_carlo(mu, sigma_hat, n_samples, rng):
     return np.mean(log_q - log_p)
 
 
+def from_offsets(rows, origin=(0.0, 0.0)):
+    """Invert the Point5 encoding: cumulative-sum displacements from `origin`
+    into (N, 2) points. Stops before the first padding row (p3) and after the
+    first pen-up row (p2)."""
+    rows = np.asarray(rows, dtype=np.float64)
+    pts = []
+    pos = np.asarray(origin, dtype=np.float64).copy()
+    for row in rows:
+        pen = int(np.argmax(row[2:5]))
+        if pen == 2:
+            break
+        pos = pos + row[:2]
+        pts.append(pos.copy())
+        if pen == 1:
+            break
+    return np.array(pts)
+
+
 def point_segment_distance_ref(p, a, b):
     p, a, b = (np.asarray(v, dtype=np.float64) for v in (p, a, b))
     ab = b - a

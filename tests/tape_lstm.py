@@ -3,12 +3,40 @@
 This is the cell as it was written before `strokeseg.recurrent` fused each
 sequence into one tape node: every gate op of every step is its own
 autodiff node, so its gradients come from the tape's generic rules rather
-than from the hand-written backpropagation through time.
+than from the hand-written backpropagation through time. Gate k reads row
+k of the stacked (4, H) layer-norm gain and bias, so their gradients come
+from the tape's slicing rule too.
 """
 import numpy as np
 
-from strokeseg.autodiff import Tensor, as_tensor, concat, sigmoid
-from strokeseg.recurrent import layer_norm
+from strokeseg.autodiff import Tensor, as_tensor, concat
+from strokeseg.recurrent import LN_EPS
+
+
+def sigmoid(t):
+    t = as_tensor(t)
+    value = 1.0 / (1.0 + np.exp(-t.data))
+    out = Tensor(value)
+
+    def bw(g):
+        if t.requires_grad:
+            t._accum(g * value * (1.0 - value))
+
+    return out._track((t,), bw)
+
+
+def layer_norm(v, gain, bias, eps=LN_EPS):
+    """Normalize over the last axis, then scale and shift.
+
+    Statistics are taken per vector (per row for batched input).
+    """
+    v = as_tensor(v)
+    if v.shape[-1] < 2:
+        raise ValueError("layer_norm needs vectors of length >= 2")
+    mu = v.mean(axis=-1, keepdims=True)
+    centered = v - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered * ((var + eps) ** -0.5) * as_tensor(gain) + as_tensor(bias)
 
 
 def tape_lstm_step(p, x, h_prev, c_prev, dropout_mask=None):
@@ -24,10 +52,11 @@ def tape_lstm_step(p, x, h_prev, c_prev, dropout_mask=None):
     zg = z[..., 2 * n:3 * n]
     zo = z[..., 3 * n:4 * n]
 
-    i = sigmoid(layer_norm(zi, p.ln_gi, p.ln_bi))
-    f = sigmoid(layer_norm(zf, p.ln_gf, p.ln_bf))
-    g = layer_norm(zg, p.ln_gg, p.ln_bg).tanh()
-    o = sigmoid(layer_norm(zo, p.ln_go, p.ln_bo))
+    gain, bias = as_tensor(p.ln_g), as_tensor(p.ln_b)
+    i = sigmoid(layer_norm(zi, gain[0], bias[0]))
+    f = sigmoid(layer_norm(zf, gain[1], bias[1]))
+    g = layer_norm(zg, gain[2], bias[2]).tanh()
+    o = sigmoid(layer_norm(zo, gain[3], bias[3]))
 
     if dropout_mask is not None:
         g = g * dropout_mask

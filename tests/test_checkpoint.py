@@ -67,6 +67,21 @@ def test_load_rejects_missing_file(tmp_path):
         load_checkpoint(tmp_path / "absent.npz")
 
 
+@pytest.mark.parametrize("key", ["param.dec.ln_g", "adam_v.b_y"])
+def test_load_rejects_non_finite_arrays(tmp_path, key):
+    m = VaeModel.init(CFG, np.random.default_rng(6))
+    state = AdamState()
+    adam_update(m.params, {k: np.ones_like(v) for k, v in m.params.items()}, state, lr=1e-3)
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, m, state)
+    with np.load(path) as z:
+        arrays = {k: z[k].copy() for k in z.files}
+    arrays[key].flat[-1] = np.inf
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match=f"{path}.*non-finite values in {key}"):
+        load_checkpoint(path)
+
+
 def test_format_version_recorded(tmp_path):
     m = VaeModel.init(CFG, np.random.default_rng(5))
     path = tmp_path / "model.npz"

@@ -166,7 +166,22 @@ def test_reconstruct_requires_a_temperature(raw_file, config_file, tmp_path, cap
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["truncated", "missing_param", "foreign"])
+def test_key_value_config_matches_its_json_twin(raw_file, config_file, tmp_path):
+    kv = tmp_path / "tiny.cfg"
+    kv.write_text("# the TINY_CFG model as key=value lines\n\n"
+                  + "".join(f"{k} = {json.dumps(v)}\n" for k, v in TINY_CFG.items()),
+                  encoding="utf-8")
+    configs = []
+    for name, cfg in (("json", config_file), ("kv", kv)):
+        assert main(["train-vae", "--data", str(raw_file), "--config", str(cfg),
+                     "--epochs", "0", "--out", str(tmp_path / name)]) == 0
+        configs.append(load_checkpoint(tmp_path / name / "checkpoints" / "final.npz")[0].config)
+    assert configs[0] == configs[1]
+    assert configs[0].dec_hidden == TINY_CFG["dec_hidden"]
+
+
+@pytest.mark.parametrize("damage", ["truncated", "missing_param", "foreign", "old_format",
+                                    "non_finite"])
 def test_bad_checkpoint_is_one_error_line(raw_file, annotated_file, config_file,
                                           tmp_path, capsys, damage):
     run = tmp_path / "run"
@@ -180,7 +195,15 @@ def test_bad_checkpoint_is_one_error_line(raw_file, annotated_file, config_file,
         bad.write_text("not a checkpoint\n", encoding="utf-8")
     else:
         with np.load(good) as z:
-            np.savez(bad, **{k: z[k] for k in z.files if k != "param.w_mu"})
+            arrays = {k: z[k] for k in z.files if k != "param.w_mu" or damage != "missing_param"}
+        if damage == "old_format":
+            meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+            meta["format_version"] = 1
+            arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        elif damage == "non_finite":
+            arrays["param.w_y"] = arrays["param.w_y"].copy()
+            arrays["param.w_y"][0, 0] = np.nan
+        np.savez(bad, **arrays)
     capsys.readouterr()
     for argv in (["reconstruct", "--checkpoint", str(bad), "--data", str(raw_file),
                   "--out", str(tmp_path / "recon")],
@@ -191,6 +214,7 @@ def test_bad_checkpoint_is_one_error_line(raw_file, annotated_file, config_file,
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert str(bad) in err[0] and "pickle" not in err[0]
+        assert damage != "non_finite" or "param.w_y" in err[0]
 
 
 def test_render_single_sketch(annotated_file, tmp_path):

@@ -63,8 +63,10 @@ def test_transform_params_rejects_nonfinite():
     rng = np.random.default_rng(2)
     raw = _raw(rng)
     raw.mu_x.data[0] = np.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mu_x"):
         transform_params(raw)
+    with pytest.raises(ValueError, match="mu_x"):
+        apply_temperature(raw, 0.5)
 
 
 def test_bivariate_pdf_matches_reference():
@@ -157,7 +159,7 @@ def test_apply_temperature_identity_at_one():
     rng = np.random.default_rng(6)
     raw = _raw(rng)
     p = transform_params(raw)
-    adj = apply_temperature(raw, p, 1.0)
+    adj = apply_temperature(raw, 1.0)
     npt.assert_allclose(adj.pi.data, p.pi.data, rtol=1e-12)
     npt.assert_allclose(adj.q.data, p.q.data, rtol=1e-12)
     npt.assert_allclose(adj.sigma_x.data, p.sigma_x.data, rtol=1e-12)
@@ -170,23 +172,21 @@ def test_apply_temperature_sharpens_and_scales():
                      sigma_x_hat=Tensor(np.full(2, np.log(2.0))),
                      sigma_y_hat=Tensor(np.zeros(2)),
                      rho_hat=Tensor(np.zeros(2)), q_hat=Tensor(np.zeros(3)))
-    p = transform_params(raw)
-    adj = apply_temperature(raw, p, 0.01)
+    adj = apply_temperature(raw, 0.01)
     assert adj.pi.data[1] > 1.0 - 1e-10
     # variance scales by tau: sigma 2 -> sqrt(0.25 * 4) = 1 at tau = 0.25
-    adj2 = apply_temperature(raw, p, 0.25)
+    adj2 = apply_temperature(raw, 0.25)
     npt.assert_allclose(adj2.sigma_x.data, 1.0, rtol=1e-12)
     npt.assert_allclose(adj2.sigma_y.data, 0.5, rtol=1e-12)
-    npt.assert_allclose(adj2.mu_x.data, p.mu_x.data)
+    npt.assert_allclose(adj2.mu_x.data, raw.mu_x.data)
 
 
 def test_apply_temperature_rejects_out_of_range():
     rng = np.random.default_rng(7)
     raw = _raw(rng)
-    p = transform_params(raw)
     for tau in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError):
-            apply_temperature(raw, p, tau)
+            apply_temperature(raw, tau)
 
 
 def test_sample_point_statistics_match_parameters():
@@ -223,8 +223,7 @@ def test_sample_point_picks_dominant_component_when_sharpened():
                      sigma_x_hat=Tensor(np.full(2, -2.0)),
                      sigma_y_hat=Tensor(np.full(2, -2.0)),
                      rho_hat=Tensor(np.zeros(2)), q_hat=Tensor(np.zeros(3)))
-    p = transform_params(raw)
-    adj = apply_temperature(raw, p, 0.01)
+    adj = apply_temperature(raw, 0.01)
     rng = np.random.default_rng(10)
     for _ in range(50):
         dx, dy, _ = sample_point(adj, rng)

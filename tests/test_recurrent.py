@@ -1,13 +1,14 @@
+from dataclasses import fields
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from strokeseg.autodiff import Tensor
 from strokeseg.gradcheck import finite_difference_check
-from strokeseg.recurrent import (LstmParams, layer_norm, lstm_sequence, lstm_step, run_lstm,
-                                 xavier_init)
+from strokeseg.recurrent import LstmParams, lstm_sequence, lstm_step, run_lstm, xavier_init
 
-from tape_lstm import tape_lstm_sequence
+from tape_lstm import layer_norm, tape_lstm_sequence
 
 
 def test_xavier_bounds_and_spread():
@@ -52,10 +53,14 @@ def test_lstm_params_init_conventions():
     assert p.w_x.shape == (5, 28)
     assert p.w_h.shape == (7, 28)
     npt.assert_allclose(p.b, 0.0)
-    npt.assert_allclose(p.ln_bf, 1.0)
-    npt.assert_allclose(p.ln_bi, 0.0)
-    npt.assert_allclose(p.ln_gf, 1.0)
+    assert p.ln_g.shape == p.ln_b.shape == (4, 7)
+    npt.assert_allclose(p.ln_g, 1.0)
+    npt.assert_allclose(p.ln_b[1], 1.0)
+    npt.assert_allclose(p.ln_b[[0, 2, 3]], 0.0)
+    npt.assert_allclose(p.ln_gc, 1.0)
+    npt.assert_allclose(p.ln_bc, 0.0)
     assert p.hidden_size == 7
+    assert len(fields(p)) == 7
 
     d = p.to_dict("enc")
     assert all(k.startswith("enc.") for k in d)
@@ -180,10 +185,10 @@ def _oracle_case(seed, length, with_mask, with_dropout, with_extra, with_state):
     b, d, e, n = 3, 4, 2, 5
     p = LstmParams.init(d + (e if with_extra else 0), n, rng)
     p.b[:] = rng.normal(scale=0.3, size=p.b.shape)
-    for name in ("ln_gi", "ln_gf", "ln_gg", "ln_go", "ln_gc"):
-        getattr(p, name)[:] = rng.uniform(0.5, 1.5, size=n)
-    for name in ("ln_bi", "ln_bf", "ln_bg", "ln_bo", "ln_bc"):
-        getattr(p, name)[:] += rng.normal(scale=0.3, size=n)
+    p.ln_g[:] = rng.uniform(0.5, 1.5, size=(4, n))
+    p.ln_gc[:] = rng.uniform(0.5, 1.5, size=n)
+    p.ln_b[:] += rng.normal(scale=0.3, size=(4, n))
+    p.ln_bc[:] += rng.normal(scale=0.3, size=n)
     inputs = {"xs": rng.standard_normal((b, length, d))}
     if with_extra:
         inputs["extra"] = rng.standard_normal((b, e))
