@@ -75,12 +75,7 @@ def _load_vae_config(path: str | None) -> VaeConfig:
                 continue
             key, _, value = line.partition("=")
             overrides[key.strip()] = json.loads(value.strip())
-    base = VaeConfig().to_dict()
-    unknown = set(overrides) - set(base)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    base.update(overrides)
-    return VaeConfig.from_dict(base)
+    return VaeConfig.from_dict({**VaeConfig().to_dict(), **overrides})
 
 
 def _write_loss_csv(path: Path, history) -> None:

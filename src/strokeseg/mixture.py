@@ -48,7 +48,8 @@ class MixtureParams:
 
     Mixture weights and pen probabilities are kept in the log domain
     (log_pi, log_q) for stable likelihood evaluation; pi and q read them
-    back as probability vectors.
+    back as probability vectors. The fields are Tensors from
+    `transform_params` and plain arrays from `apply_temperature`.
     """
 
     log_pi: Tensor
@@ -60,17 +61,22 @@ class MixtureParams:
     log_q: Tensor
 
     @property
-    def pi(self) -> Tensor:
-        return self.log_pi.exp()
+    def pi(self):
+        return _exp(self.log_pi)
 
     @property
-    def q(self) -> Tensor:
-        return self.log_q.exp()
+    def q(self):
+        return _exp(self.log_q)
+
+
+def _exp(v):
+    return v.exp() if isinstance(v, Tensor) else np.exp(v)
 
 
 def split_params(y, num_mixtures: int) -> RawMixture:
-    """Slice a (..., 6M+3) output vector into named blocks."""
-    y = as_tensor(y)
+    """Slice a (..., 6M+3) output vector into named blocks: Tensors for a
+    Tensor, plain arrays otherwise."""
+    y = y if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
     m = num_mixtures
     if y.shape[-1] != 6 * m + 3:
         raise ValueError(f"expected last dim {6 * m + 3}, got {y.shape[-1]}")
@@ -164,14 +170,22 @@ def apply_temperature(raw: RawMixture, tau: float) -> MixtureParams:
     _check_finite(raw)
     root_tau = np.sqrt(tau)
     return MixtureParams(
-        log_pi=log_softmax(as_tensor(_np(raw.pi_hat) / tau), axis=-1),
-        mu_x=as_tensor(_np(raw.mu_x)),
-        mu_y=as_tensor(_np(raw.mu_y)),
-        sigma_x=as_tensor(np.exp(_np(raw.sigma_x_hat)) * root_tau),
-        sigma_y=as_tensor(np.exp(_np(raw.sigma_y_hat)) * root_tau),
-        rho=as_tensor(np.tanh(_np(raw.rho_hat))),
-        log_q=log_softmax(as_tensor(_np(raw.q_hat) / tau), axis=-1),
+        log_pi=_log_softmax(_np(raw.pi_hat) / tau),
+        mu_x=_np(raw.mu_x),
+        mu_y=_np(raw.mu_y),
+        sigma_x=np.exp(_np(raw.sigma_x_hat)) * root_tau,
+        sigma_y=np.exp(_np(raw.sigma_y_hat)) * root_tau,
+        rho=np.tanh(_np(raw.rho_hat)),
+        log_q=_log_softmax(_np(raw.q_hat) / tau),
     )
+
+
+def _log_softmax(v: np.ndarray) -> np.ndarray:
+    """`log_softmax` over the last axis in plain numpy. It repeats the
+    operations of `logsumexp` in their order, so the two agree bit for bit."""
+    m = np.max(v, axis=-1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    return v - (np.log(np.exp(v - m).sum(axis=-1, keepdims=True)) + m)
 
 
 def sample_point(params: MixtureParams, rng: np.random.Generator):

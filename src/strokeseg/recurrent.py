@@ -9,12 +9,14 @@ candidate update only, so the cell memory path is never zeroed.
 autodiff node whose backward pass is explicit backpropagation through time:
 the input projection is one matmul for all steps, the four gate blocks are
 normalized together, and the weight gradients are one matmul each after
-the time loop.
+the time loop. Each step computes only the rows still running, and
+several cells (the two directions of an encoder) share one time loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import accumulate
 
 import numpy as np
 
@@ -97,82 +99,202 @@ def _norm_backward(d_norm: np.ndarray, norm: np.ndarray, rstd: np.ndarray) -> np
     return rstd * (d_norm - mean_d - norm * mean_dn)
 
 
-def lstm_sequence(p: LstmParams, xs, mask: np.ndarray | None = None,
+def _stacked(arrays):
+    """(D, ...) array of one array per cell; a single cell's is a view, not a copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _row_lengths(mask, bsz: int, length: int):
+    """Real steps per row, or None when every row runs every step. `mask`
+    must flag each row's real steps first."""
+    if mask is None:
+        return None
+    real = np.asarray(mask) != 0
+    if real.shape != (bsz, length):
+        raise ValueError(f"mask shape {real.shape} does not match the batch ({bsz}, {length})")
+    lengths = real.sum(axis=1)
+    if not np.array_equal(real, np.arange(length) < lengths[:, None]):
+        raise ValueError("mask must flag each row's real steps first")
+    return None if lengths.min() == length else lengths
+
+
+class _Packing:
+    """The rows of a (B, L) batch that each step computes, packed time-major.
+
+    Rows are sorted by length, longest first (stably), so the rows still
+    running at step t are the first `a` of that order; they sit at `lo:hi`
+    of the packed buffers (`steps` lists (a, lo, hi, prev) per step). A state
+    buffer holds the B initial states and then the packed steps, so step t
+    continues from the states at `prev` onward, and a row that has ended
+    keeps its last state. Arrays carry a leading cells axis. Without padded
+    steps the packed rows are the whole batch in input order and nothing is
+    gathered.
+    """
+
+    def __init__(self, mask, bsz: int, length: int):
+        self.bsz, self.length = bsz, length
+        self.lengths = _row_lengths(mask, bsz, length)
+        if self.lengths is None:
+            self.order = self.rank = slice(None)
+            count = [bsz] * length
+        else:
+            self.order = np.argsort(-self.lengths, kind="stable")
+            self.rank = np.argsort(self.order)
+            count = (self.lengths[self.order] > np.arange(length)[:, None]).sum(axis=1).tolist()
+        start = [0, *accumulate(count)]
+        self.real = start.pop()
+        base = [0] + [bsz + lo for lo in start]
+        self.steps = [(a, lo, lo + a, base[t])
+                      for t, (a, lo) in enumerate(zip(count, start)) if a]
+        if self.lengths is not None:
+            self.base = np.array(base)
+            step_of = np.repeat(np.arange(length), count)
+            row_of = np.arange(self.real) - np.array(start)[step_of]
+            self.source = (self.order[row_of], step_of)   # input row and step
+            self.prev = self.base[step_of] + row_of
+            self.in_input_order = np.lexsort(self.source)
+
+    def pack(self, a):
+        """(D, B, L, ...) in input order -> the packed (D, real, ...) rows."""
+        if self.lengths is None:
+            return a.swapaxes(1, 2).reshape((a.shape[0], self.real) + a.shape[3:])
+        return a[:, self.source[0], self.source[1]]
+
+    def unpack(self, a):
+        """The packed (D, real, ...) rows -> (D, B, L, ...), zero when padded."""
+        if self.lengths is None:
+            return a.reshape((a.shape[0], self.length, self.bsz) + a.shape[2:]).swapaxes(1, 2)
+        out = np.zeros((a.shape[0], self.bsz, self.length) + a.shape[2:])
+        out[:, self.source[0], self.source[1]] = a
+        return out
+
+    def input_order(self, a):
+        """The packed rows in (step, input row) order: the order in which a
+        loop over the whole batch meets them."""
+        return a if self.lengths is None else a[:, self.in_input_order]
+
+    def previous(self, states):
+        """Per packed row, the state its step continues from."""
+        return states[:, :self.real] if self.lengths is None else states[:, self.prev]
+
+    def latched(self, states):
+        """(D, B, L, ...): per row and step, the state after the row's last
+        real step up to then."""
+        if self.lengths is None:
+            return states[:, self.bsz:].reshape(
+                (states.shape[0], self.length, self.bsz) + states.shape[2:]).swapaxes(1, 2)
+        last = np.minimum(np.arange(self.length), self.lengths[:, None] - 1)
+        return states[:, self.base[last + 1] + self.rank[:, None]]
+
+    def upstream(self, grad, t: int, a: int):
+        """The gradient at step t of the rows still running, (D, a, ...)."""
+        return grad[:, :a, t] if self.lengths is None else grad[:, self.order[:a], t]
+
+    def held(self, grad):
+        """Per sorted row, the summed gradient of its padded steps, which all
+        read its latched state: (D, B, ...)."""
+        if self.lengths is None:
+            return np.zeros((grad.shape[0], self.bsz) + grad.shape[3:])
+        padded = (np.arange(self.length) >= self.lengths[:, None]).astype(np.float64)
+        return (padded[:, None, :] @ grad)[:, self.order, 0]
+
+
+def lstm_sequence(p, xs, mask: np.ndarray | None = None,
                   dropout_mask=None, inputs_extra=None, h0=None, c0=None) -> Tensor:
     """Run a cell over a (B, L, D) batch as one tape node.
 
-    Returns a (B, L, 2H) Tensor whose step t holds [h_t; c_t]. `mask`
-    (B, L) latches the state on padded steps. `dropout_mask` (B, H) is an
-    inverted-dropout mask on the candidate update, the same at every step.
-    `inputs_extra` (B, E) is appended to every step's input, so its
-    projection is computed once. (h0, c0) default to zeros. Activations are
-    kept for the backward pass only when some input requires grad.
+    Returns a (B, L, 2H) Tensor whose step t holds [h_t; c_t]. `mask` (B, L)
+    flags each row's real steps, which must come first; only those are
+    computed, and the state stays latched on the padded steps after them.
+    `dropout_mask` (B, H) is an inverted-dropout mask on the candidate
+    update, the same at every step. `inputs_extra` (B, E) is appended to
+    every step's input, so its projection is computed once. (h0, c0) default
+    to zeros. Activations are kept for the backward pass only when some
+    input requires grad.
+
+    `p` may also be a tuple of cells with one hidden size, which run in the
+    same time loop: `xs`, `dropout_mask`, `inputs_extra`, `h0`, `c0` and the
+    result then carry a leading (cells,) axis, and `mask` is shared.
     """
+    multi = isinstance(p, (tuple, list))
+    cells = tuple(p) if multi else (p,)
+    lead = (len(cells),) if multi else ()
     xs = as_tensor(xs)
     extra = None if inputs_extra is None else as_tensor(inputs_extra)
-    if len(xs.shape) != 3 or (extra is not None and len(extra.shape) != 2):
-        raise ValueError("lstm_sequence takes a (B, L, D) batch and (B, E) inputs_extra")
-    bsz, length, d_in = xs.shape
+    if len(xs.shape) != 3 + len(lead) or xs.shape[:len(lead)] != lead or (
+            extra is not None and extra.shape[:-1] != lead + xs.shape[len(lead):len(lead) + 1]):
+        raise ValueError("lstm_sequence takes a (B, L, D) batch and (B, E) inputs_extra,"
+                         " each under a leading (cells,) axis for a tuple of cells")
+    bsz, length, d_in = xs.shape[len(lead):]
     if length < 1:
         raise ValueError("lstm_sequence needs at least one step")
-    n = p.hidden_size
-    w_x, w_h, b, gain, bias, gain_c, bias_c = (
-        as_tensor(v) for v in (p.w_x, p.w_h, p.b, p.ln_g, p.ln_b, p.ln_gc, p.ln_bc))
+    n = cells[0].hidden_size
+    if any(cell.hidden_size != n or cell.w_x.shape != cells[0].w_x.shape for cell in cells):
+        raise ValueError("cells run together must have the same shapes")
+    dirs = len(cells)
+    weights = [tuple(as_tensor(v) for v in (cell.w_x, cell.w_h, cell.b, cell.ln_g,
+                                             cell.ln_b, cell.ln_gc, cell.ln_bc))
+               for cell in cells]
     width = d_in + (0 if extra is None else extra.shape[-1])
-    if w_x.shape[0] != width:
-        raise ValueError(f"lstm input size {width} does not match weights {w_x.shape[0]}")
-    h0 = as_tensor(np.zeros((bsz, n)) if h0 is None else h0)
-    c0 = as_tensor(np.zeros((bsz, n)) if c0 is None else c0)
-    parents = (xs, w_x, w_h, b, gain, bias, gain_c, bias_c, h0, c0)
+    if weights[0][0].shape[0] != width:
+        raise ValueError(f"lstm input size {width} does not match weights "
+                         f"{weights[0][0].shape[0]}")
+    h0 = as_tensor(np.zeros(lead + (bsz, n)) if h0 is None else h0)
+    c0 = as_tensor(np.zeros(lead + (bsz, n)) if c0 is None else c0)
+    parents = tuple(t for ws in weights for t in ws) + (xs, h0, c0)
     if extra is not None:
         parents += (extra,)
     keep = any(t.requires_grad for t in parents)
+    pk = _Packing(mask, bsz, length)
+    real, order = pk.real, pk.order
 
-    wx, wh = w_x.data, w_h.data
-    g4, gc, bc = gain.data, gain_c.data, bias_c.data
-    g4_half, b4_half = g4 * _HALF, bias.data * _HALF
-    # no dropout is the scale 1.0, which leaves every product bit for bit unchanged
-    drop = 1.0 if dropout_mask is None else np.asarray(dropout_mask, dtype=np.float64)
-    mask_t = None if mask is None else np.asarray(mask, dtype=np.float64).T[:, :, None]
+    def with_dirs(a):
+        return a if multi else a[None]
 
-    # Buffers are time-major (L, B, ...), so each step's slice is contiguous.
-    # The input projections and bias of all steps come before the recurrence.
-    xs_t = np.ascontiguousarray(xs.data.transpose(1, 0, 2)).reshape(length * bsz, d_in)
-    pre_x = (xs_t @ wx[:d_in]).reshape(length, bsz, 4 * n) + b.data
+    wx, wh, b, g4, b4, gc, bc = (_stacked([ws[k].data for ws in weights]) for k in range(7))
+    g4_half, b4_half = (g4 * _HALF)[:, None], (b4 * _HALF)[:, None]
+    gc, bc = gc[:, None], bc[:, None]
+    # without a dropout mask the candidate update is used as it is
+    drop = None if dropout_mask is None else \
+        with_dirs(np.asarray(dropout_mask, dtype=np.float64))
+    drop_s = None if drop is None else drop[:, order]
+
+    # The input projections and bias of every real step come before the recurrence.
+    xs_p = pk.pack(with_dirs(xs.data))
+    pre_x = xs_p @ wx[:, :d_in] + b[:, None]
     if extra is not None:
-        pre_x += extra.data @ wx[d_in:]
+        pre_extra = (with_dirs(extra.data) @ wx[:, d_in:])[:, order]
+        for a, lo, hi, _ in pk.steps:
+            pre_x[:, lo:hi] += pre_extra[:, :a]
 
-    seq = np.empty((length, bsz, 2 * n))
-    if keep:
-        norm = np.empty((length, bsz, 4, n))
-        rstd = np.empty((length, bsz, 4, 1))
-        gates = np.empty((length, bsz, 4, n))
-        norm_c = np.empty((length, bsz, n))
-        rstd_c = np.empty((length, bsz, 1))
-        tanh_c = np.empty((length, bsz, n))
-    h, c = h0.data, c0.data
-    for t in range(length):
-        nt, rt = _norm_forward((pre_x[t] + h @ wh).reshape(bsz, 4, n))
-        act = np.tanh(nt * g4_half + b4_half)
+    # [h; c] of the initial states (sorted rows) and then of every real step
+    hc = np.empty((dirs, bsz + real, 2 * n))
+    hc[:, :bsz, :n] = with_dirs(h0.data)[:, order]
+    hc[:, :bsz, n:] = with_dirs(c0.data)[:, order]
+    norm = np.empty((dirs, real, 4, n))
+    rstd = np.empty((dirs, real, 4, 1))
+    gates = np.empty((dirs, real, 4, n))
+    norm_c = np.empty((dirs, real, n))
+    rstd_c = np.empty((dirs, real, 1))
+    tanh_c = np.empty((dirs, real, n))
+    for a, lo, hi, prev in pk.steps:
+        nt, rt = _norm_forward(
+            (pre_x[:, lo:hi] + hc[:, prev:prev + a, :n] @ wh).reshape(dirs, a, 4, n))
+        act = np.tanh(nt * g4_half + b4_half, out=gates[:, lo:hi])
         act *= _HALF
         act += _SHIFT
-        i, f, g, o = act[:, 0], act[:, 1], act[:, 2] * drop, act[:, 3]
-        c_new = f * c + i * g
+        i, f, g, o = act[:, :, 0], act[:, :, 1], act[:, :, 2], act[:, :, 3]
+        if drop_s is not None:
+            g = g * drop_s[:, :a]
+        c_new = np.multiply(f, hc[:, prev:prev + a, n:], out=hc[:, bsz + lo:bsz + hi, n:])
+        c_new += i * g
         nc, rc = _norm_forward(c_new)
-        tc = np.tanh(nc * gc + bc)
-        h_new = o * tc
-        if mask_t is not None:
-            m = mask_t[t]
-            h = h_new * m + h * (1.0 - m)
-            c = c_new * m + c * (1.0 - m)
-        else:
-            h, c = h_new, c_new
-        seq[t, :, :n] = h
-        seq[t, :, n:] = c
-        if keep:
-            norm[t], rstd[t], gates[t] = nt, rt, act
-            norm_c[t], rstd_c[t], tanh_c[t] = nc, rc, tc
-    result = Tensor(seq.transpose(1, 0, 2))
+        tc = np.tanh(nc * gc + bc, out=tanh_c[:, lo:hi])
+        np.multiply(o, tc, out=hc[:, bsz + lo:bsz + hi, :n])
+        norm[:, lo:hi], rstd[:, lo:hi] = nt, rt
+        norm_c[:, lo:hi], rstd_c[:, lo:hi] = nc, rc
+    out = pk.latched(hc)
+    result = Tensor(out if multi else out[0])
     if not keep:
         return result
 
@@ -182,73 +304,89 @@ def lstm_sequence(p: LstmParams, xs, mask: np.ndarray | None = None,
         # upstream gradient, so it is computed for all steps at once; each
         # step then scales its slice in place, which leaves the gate
         # gradients in coef for the gain and bias sums after the loop.
-        grad = grad.transpose(1, 0, 2)
-        c_prev = np.concatenate([c0.data[None], seq[:-1, :, n:]])
+        grad = with_dirs(grad)
+        hc_prev = pk.previous(hc)
         i_all, f_all, g_all, o_all = (gates[:, :, k] for k in range(4))
         coef = gates * (1.0 - gates)
         coef[:, :, 2] = 1.0 - g_all * g_all
-        coef[:, :, 0] *= g_all * drop
-        coef[:, :, 2] *= i_all * drop
-        coef[:, :, 1] *= c_prev
+        if drop is None:
+            coef[:, :, 0] *= g_all
+            coef[:, :, 2] *= i_all
+        else:
+            drop_p = pk.pack(np.broadcast_to(drop[:, :, None], (dirs, bsz, length, n)))
+            coef[:, :, 0] *= g_all * drop_p
+            coef[:, :, 2] *= i_all * drop_p
+        coef[:, :, 1] *= hc_prev[:, :, n:]
         coef[:, :, 3] *= tanh_c
         # Likewise for the cell-state layer norm's output, scaled by dh_new.
         coef_c = o_all * (1.0 - tanh_c * tanh_c)
 
-        d_pre = np.empty((length, bsz, 4 * n))
-        dh = np.zeros((bsz, n))
-        dc = np.zeros((bsz, n))
-        for t in range(length - 1, -1, -1):
-            dh += grad[t, :, :n]
-            dc += grad[t, :, n:]
-            if mask_t is not None:
-                m = mask_t[t]
-                dh_new, dc_new = dh * m, dc * m
-                dh_keep, dc_keep = dh - dh_new, dc - dc_new
-            else:
-                dh_new, dc_new = dh, dc
-            d_yc = coef_c[t]
+        # A row's padded steps read its latched state, so their gradient
+        # starts its running gradient before its last real step is reached.
+        held = pk.held(grad)
+        dh, dc = held[:, :, :n].copy(), held[:, :, n:].copy()
+        wh_t = wh.transpose(0, 2, 1)
+        d_pre = np.empty((dirs, real, 4 * n))
+        for t in range(len(pk.steps) - 1, -1, -1):
+            a, lo, hi, _ = pk.steps[t]
+            upstream = pk.upstream(grad, t, a)
+            dh[:, :a] += upstream[:, :, :n]
+            dc[:, :a] += upstream[:, :, n:]
+            dh_new = dh[:, :a]
+            d_yc = coef_c[:, lo:hi]
             d_yc *= dh_new
-            dc_new = dc_new + _norm_backward(d_yc * gc, norm_c[t], rstd_c[t])
-            d_act = coef[t]
-            d_act[:, :3] *= dc_new[:, None, :]
-            d_act[:, 3] *= dh_new
-            da = _norm_backward(d_act * g4, norm[t], rstd[t]).reshape(bsz, 4 * n)
-            d_pre[t] = da
-            dh_next = da @ wh.T
-            dc_next = dc_new * f_all[t]
-            if mask_t is not None:
-                dh_next += dh_keep
-                dc_next += dc_keep
-            dh, dc = dh_next, dc_next
+            dc_new = dc[:, :a] + _norm_backward(d_yc * gc, norm_c[:, lo:hi], rstd_c[:, lo:hi])
+            d_act = coef[:, lo:hi]
+            d_act[:, :, :3] *= dc_new[:, :, None, :]
+            d_act[:, :, 3] *= dh_new
+            da = _norm_backward(d_act * g4[:, None], norm[:, lo:hi],
+                                rstd[:, lo:hi]).reshape(dirs, a, 4 * n)
+            d_pre[:, lo:hi] = da
+            dh[:, :a] = da @ wh_t
+            dc[:, :a] = dc_new * f_all[:, lo:hi]
 
-        flat = d_pre.reshape(length * bsz, 4 * n)
-        if w_x.requires_grad:
-            d_wx = np.empty_like(wx)
-            d_wx[:d_in] = xs_t.T @ flat
-            if extra is not None:
-                d_wx[d_in:] = extra.data.T @ d_pre.sum(axis=0)
-            w_x._accum(d_wx)
-        if w_h.requires_grad:
-            h_prev = np.concatenate([h0.data[None], seq[:-1, :, :n]])
-            w_h._accum(h_prev.reshape(length * bsz, n).T @ flat)
-        if b.requires_grad:
-            b._accum(flat.sum(axis=0))
-        if gain.requires_grad:
-            gain._accum((coef * norm).sum(axis=(0, 1)))
-        if bias.requires_grad:
-            bias._accum(coef.sum(axis=(0, 1)))
-        if gain_c.requires_grad:
-            gain_c._accum((coef_c * norm_c).sum(axis=(0, 1)))
-        if bias_c.requires_grad:
-            bias_c._accum(coef_c.sum(axis=(0, 1)))
+        if extra is not None:
+            # per-row sums of the real steps' gradients, in step order
+            d_rows = np.zeros((dirs, bsz, 4 * n))
+            for a, lo, hi, _ in pk.steps:
+                d_rows[:, :a] += d_pre[:, lo:hi]
+            d_rows = d_rows[:, pk.rank]
+
+        # The weight gradients sum the real steps in the order a loop over
+        # the whole batch would, which adds only zeros for the padded ones.
+        d_pre_io = pk.input_order(d_pre)
+
+        def d_wx():
+            d = pk.input_order(xs_p).transpose(0, 2, 1) @ d_pre_io
+            if extra is None:
+                return d
+            return np.concatenate([d, with_dirs(extra.data).transpose(0, 2, 1) @ d_rows], axis=1)
+
+        weight_grads = (
+            d_wx,
+            lambda: pk.input_order(hc_prev[:, :, :n]).transpose(0, 2, 1) @ d_pre_io,
+            lambda: d_pre_io.sum(axis=1),
+            lambda: pk.input_order(coef * norm).sum(axis=1),
+            lambda: pk.input_order(coef).sum(axis=1),
+            lambda: pk.input_order(coef_c * norm_c).sum(axis=1),
+            lambda: pk.input_order(coef_c).sum(axis=1),
+        )
+        for k, compute in enumerate(weight_grads):
+            if any(ws[k].requires_grad for ws in weights):
+                for ws, value in zip(weights, compute()):
+                    if ws[k].requires_grad:
+                        ws[k]._accum(value)
+
+        def give(tensor, value):
+            if tensor.requires_grad:
+                tensor._accum(value if multi else value[0])
+
         if xs.requires_grad:
-            xs._accum((flat @ wx[:d_in].T).reshape(length, bsz, d_in).transpose(1, 0, 2))
+            give(xs, pk.unpack(d_pre @ wx[:, :d_in].transpose(0, 2, 1)))
         if extra is not None and extra.requires_grad:
-            extra._accum(d_pre.sum(axis=0) @ wx[d_in:].T)
-        if h0.requires_grad:
-            h0._accum(dh)
-        if c0.requires_grad:
-            c0._accum(dc)
+            give(extra, d_rows @ wx[:, d_in:].transpose(0, 2, 1))
+        give(h0, dh[:, pk.rank])
+        give(c0, dc[:, pk.rank])
 
     return result._track(parents, backward)
 
@@ -267,13 +405,14 @@ def lstm_step(p: LstmParams, x, h_prev, c_prev, dropout_mask=None):
     return hc[:, 0, :n], hc[:, 0, n:]
 
 
-def run_lstm(p: LstmParams, xs: np.ndarray, mask: np.ndarray | None = None,
-             dropout_mask=None):
+def run_lstm(p, xs: np.ndarray, mask: np.ndarray | None = None, dropout_mask=None):
     """Run a cell over a (B, L, D) batch and return the final (h, c).
 
     `mask` (B, L) latches the state on padded steps, so the result is the
-    state after each row's last real step.
+    state after each row's last real step. For a tuple of cells, `xs`,
+    `dropout_mask` and the result carry a leading (cells,) axis, as in
+    `lstm_sequence`.
     """
     hc = lstm_sequence(p, xs, mask, dropout_mask)
-    n = p.hidden_size
-    return hc[:, -1, :n], hc[:, -1, n:]
+    n = hc.shape[-1] // 2
+    return hc[..., -1, :n], hc[..., -1, n:]

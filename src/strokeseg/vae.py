@@ -11,7 +11,7 @@ from tanh(W_z z + b_z), consumes [s_{t-1}; z] at every step, and emits a
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .recurrent import LstmParams, lstm_sequence, lstm_step, run_lstm, xavier_in
 from .sketch import Sketch, Stroke
 
 __all__ = [
-    "VaeConfig", "VaeModel", "reverse_valid", "encode",
+    "VaeConfig", "VaeModel", "encode",
     "sample_latent", "init_decoder", "decode_teacher_forced", "decode_sample",
     "kl_loss", "kl_weight", "total_loss", "loss_and_grads", "train",
     "reconstruct_sketch",
@@ -48,20 +48,33 @@ class VaeConfig:
     max_len: int = 128
 
     def __post_init__(self):
+        for f in fields(self):  # f.type is the annotation's text
+            value = getattr(self, f.name)
+            kinds = (int, np.integer) if f.type == "int" else (int, float, np.integer, np.floating)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                kind = "an integer" if f.type == "int" else "a number"
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+            if f.type == "int" and value <= 0:
+                raise ValueError(f"{f.name} must be positive")
         if not 0.0 < self.kl_decay_rate < 1.0:
             raise ValueError("kl_decay_rate must lie in (0, 1)")
         if not 0.0 <= self.kl_weight_start <= 1.0:
             raise ValueError("kl_weight_start must lie in [0, 1]")
-        for name in ("enc_hidden", "dec_hidden", "num_mixtures", "latent_size",
-                     "batch_size", "max_len"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if not 0.0 < self.keep_prob <= 1.0:
+            raise ValueError("keep_prob must lie in (0, 1]")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and nonnegative")
+        if not self.grad_clip > 0.0:
+            raise ValueError("grad_clip must be positive")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "VaeConfig":
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**d)
 
 
@@ -96,17 +109,6 @@ class VaeModel:
                 for k, v in self.params.items()}
 
 
-def reverse_valid(seq: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    """Reverse each row's real steps in place of order, leaving padding put."""
-    out = seq.copy()
-    if mask is None:
-        return out[:, ::-1, :]
-    for i in range(seq.shape[0]):
-        n = int(mask[i].sum())
-        out[i, :n] = seq[i, :n][::-1]
-    return out
-
-
 def _dropout_masks(config: VaeConfig, batch_rows: int, rng: np.random.Generator) -> dict:
     keep = config.keep_prob
     if keep >= 1.0:
@@ -119,13 +121,24 @@ def _dropout_masks(config: VaeConfig, batch_rows: int, rng: np.random.Generator)
 
 
 def _encoder_pass(tp: dict, seq, mask: np.ndarray | None, dm: dict) -> Tensor:
-    """Final states of both encoder directions, concatenated: (B, 2H)."""
+    """Final states of both encoder directions, concatenated: (B, 2H).
+
+    Both directions run in one time loop; the backward one reads each row's
+    real steps in reverse, with the padding left after them.
+    """
     seq = np.asarray(seq, dtype=np.float64)
-    h_f, _ = run_lstm(LstmParams.from_dict(tp, "enc_fwd"), seq, mask,
-                      dropout_mask=dm.get("enc_fwd"))
-    h_b, _ = run_lstm(LstmParams.from_dict(tp, "enc_bwd"), reverse_valid(seq, mask), mask,
-                      dropout_mask=dm.get("enc_bwd"))
-    return concat([h_f, h_b], axis=1)
+    if seq.ndim != 3:
+        raise ValueError("the encoder takes a (B, L, D) batch")
+    length = seq.shape[1]
+    steps = np.arange(length)
+    real = np.full((seq.shape[0], 1), length) if mask is None \
+        else np.sum(mask, axis=1, dtype=np.intp)[:, None]
+    reverse = np.where(steps < real, real - 1 - steps, steps)
+    xs = np.stack([seq, np.take_along_axis(seq, reverse[:, :, None], axis=1)])
+    drop = None if dm.get("enc_fwd") is None else np.stack([dm["enc_fwd"], dm["enc_bwd"]])
+    cells = (LstmParams.from_dict(tp, "enc_fwd"), LstmParams.from_dict(tp, "enc_bwd"))
+    h, _ = run_lstm(cells, xs, mask, dropout_mask=drop)
+    return concat([h[0], h[1]], axis=1)
 
 
 def encode(m: VaeModel, seq, mask: np.ndarray | None = None,
@@ -192,16 +205,16 @@ def decode_sample(m: VaeModel, z, tau: float, rng: np.random.Generator,
     a pen-up or end state is drawn, or at max_len steps.
     """
     max_len = max_len if max_len is not None else m.config.max_len
+    p = m.params
     tp = m.tensors()
-    z = as_tensor(np.asarray(z, dtype=np.float64).reshape(1, -1))
+    z = np.asarray(z, dtype=np.float64).reshape(1, -1)
     dec = LstmParams.from_dict(tp, "dec")
     h, c = init_decoder(m, z, tp)
     s = START_ROW.reshape(1, 5).copy()
     rows = []
     for _ in range(max_len):
-        x_t = concat([as_tensor(s), z], axis=1)
-        h, c = lstm_step(dec, x_t, h, c)
-        y = (h @ tp["w_y"] + tp["b_y"]).data[0]
+        h, c = lstm_step(dec, np.concatenate([s, z], axis=1), h, c)
+        y = (h.data @ p["w_y"] + p["b_y"])[0]
         raw = split_params(y, m.config.num_mixtures)
         dx, dy, pen = sample_point(apply_temperature(raw, tau), rng)
         s = np.zeros((1, 5))

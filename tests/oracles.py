@@ -65,6 +65,17 @@ def from_offsets(rows, origin=(0.0, 0.0)):
     return np.array(pts)
 
 
+def reverse_valid(seq, mask):
+    """Reverse each row's real steps in place of order, leaving padding put."""
+    out = seq.copy()
+    if mask is None:
+        return out[:, ::-1, :]
+    for i in range(seq.shape[0]):
+        n = int(mask[i].sum())
+        out[i, :n] = seq[i, :n][::-1]
+    return out
+
+
 def point_segment_distance_ref(p, a, b):
     p, a, b = (np.asarray(v, dtype=np.float64) for v in (p, a, b))
     ab = b - a

@@ -137,6 +137,41 @@ def test_train_vae_rejects_unknown_config_key(raw_file, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", [
+    {"enc_hidden": "abc"}, {"enc_hidden": 8.5}, {"batch_size": True}, {"keep_prob": 0},
+    {"learning_rate": -1e-3}, {"grad_clip": 0},
+])
+def test_train_vae_rejects_bad_config_value(raw_file, tmp_path, capsys, override):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**TINY_CFG, **override}), encoding="utf-8")
+    rc = main(["train-vae", "--data", str(raw_file), "--config", str(bad),
+               "--epochs", "1", "--out", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert next(iter(override)) in err[0]
+
+
+def test_checkpoint_with_unknown_config_key_is_one_error_line(raw_file, config_file,
+                                                              tmp_path, capsys):
+    run = tmp_path / "run"
+    main(["train-vae", "--data", str(raw_file), "--config", str(config_file),
+          "--epochs", "0", "--out", str(run)])
+    bad = tmp_path / "bad.npz"
+    with np.load(run / "checkpoints" / "final.npz") as z:
+        arrays = {k: z[k] for k in z.files}
+    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    meta["config"]["hidden_size"] = 8
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez(bad, **arrays)
+    capsys.readouterr()
+    assert main(["reconstruct", "--checkpoint", str(bad), "--data", str(raw_file),
+                 "--out", str(tmp_path / "recon")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert str(bad) in err[0] and "hidden_size" in err[0]
+
+
 def test_reconstruct_renders_one_grid_per_sketch(raw_file, config_file, tmp_path):
     run = tmp_path / "run"
     main(["train-vae", "--data", str(raw_file), "--config", str(config_file),

@@ -160,10 +160,10 @@ def test_apply_temperature_identity_at_one():
     raw = _raw(rng)
     p = transform_params(raw)
     adj = apply_temperature(raw, 1.0)
-    npt.assert_allclose(adj.pi.data, p.pi.data, rtol=1e-12)
-    npt.assert_allclose(adj.q.data, p.q.data, rtol=1e-12)
-    npt.assert_allclose(adj.sigma_x.data, p.sigma_x.data, rtol=1e-12)
-    npt.assert_allclose(adj.rho.data, p.rho.data, rtol=1e-12)
+    npt.assert_allclose(adj.pi, p.pi.data, rtol=1e-12)
+    npt.assert_allclose(adj.q, p.q.data, rtol=1e-12)
+    npt.assert_allclose(adj.sigma_x, p.sigma_x.data, rtol=1e-12)
+    npt.assert_allclose(adj.rho, p.rho.data, rtol=1e-12)
 
 
 def test_apply_temperature_sharpens_and_scales():
@@ -173,12 +173,12 @@ def test_apply_temperature_sharpens_and_scales():
                      sigma_y_hat=Tensor(np.zeros(2)),
                      rho_hat=Tensor(np.zeros(2)), q_hat=Tensor(np.zeros(3)))
     adj = apply_temperature(raw, 0.01)
-    assert adj.pi.data[1] > 1.0 - 1e-10
+    assert adj.pi[1] > 1.0 - 1e-10
     # variance scales by tau: sigma 2 -> sqrt(0.25 * 4) = 1 at tau = 0.25
     adj2 = apply_temperature(raw, 0.25)
-    npt.assert_allclose(adj2.sigma_x.data, 1.0, rtol=1e-12)
-    npt.assert_allclose(adj2.sigma_y.data, 0.5, rtol=1e-12)
-    npt.assert_allclose(adj2.mu_x.data, raw.mu_x.data)
+    npt.assert_allclose(adj2.sigma_x, 1.0, rtol=1e-12)
+    npt.assert_allclose(adj2.sigma_y, 0.5, rtol=1e-12)
+    npt.assert_allclose(adj2.mu_x, raw.mu_x.data)
 
 
 def test_apply_temperature_rejects_out_of_range():

@@ -8,6 +8,7 @@ from strokeseg.autodiff import Tensor
 from strokeseg.gradcheck import finite_difference_check
 from strokeseg.recurrent import LstmParams, lstm_sequence, lstm_step, run_lstm, xavier_init
 
+from oracles import reverse_valid
 from tape_lstm import layer_norm, tape_lstm_sequence
 
 
@@ -245,3 +246,76 @@ def test_lstm_sequence_keeps_no_tape_without_grad():
     out = lstm_sequence(p, rng.standard_normal((2, 5, 3)))
     assert out.shape == (2, 5, 8)
     assert not out.requires_grad and out._backward is None
+
+
+def test_two_cells_in_one_loop_match_two_tape_runs():
+    # One cell reads the sequence, the other each row's real steps reversed;
+    # rows are unsorted, one is empty and one runs every step.
+    rng = np.random.default_rng(12)
+    b, length, d, n = 5, 6, 3, 4
+    cells = []
+    for _ in range(2):
+        p = LstmParams.init(d, n, rng)
+        p.b[:] = rng.normal(scale=0.3, size=p.b.shape)
+        p.ln_g[:] = rng.uniform(0.5, 1.5, size=(4, n))
+        p.ln_bc[:] += rng.normal(scale=0.3, size=n)
+        cells.append(p)
+    lengths = np.array([3, 0, 6, 1, 4])
+    mask = (np.arange(length) < lengths[:, None]).astype(np.float64)
+    seq = rng.standard_normal((b, length, d))
+    xs = np.stack([seq, reverse_valid(seq, mask)])
+    h0, c0 = rng.standard_normal((2, b, n)), rng.standard_normal((2, b, n))
+    drop = (rng.random((2, b, n)) < 0.7) / 0.7
+    weights = rng.standard_normal((2, b, length, 2 * n))  # on h and c, every step
+
+    tps = [_tensor_params(p) for p in cells]
+    ts = {k: Tensor(v, requires_grad=True) for k, v in
+          {"xs": xs, "h0": h0, "c0": c0}.items()}
+    out = lstm_sequence(tuple(tps), ts["xs"], mask=mask, dropout_mask=drop,
+                        h0=ts["h0"], c0=ts["c0"])
+    (out * weights).sum().backward()
+    for k, p in enumerate(cells):
+        ref_tp = _tensor_params(p)
+        ref_ts = {key: Tensor(v[k], requires_grad=True) for key, v in
+                  {"xs": xs, "h0": h0, "c0": c0}.items()}
+        ref = tape_lstm_sequence(ref_tp, ref_ts["xs"], mask=mask, dropout_mask=drop[k],
+                                 h0=ref_ts["h0"], c0=ref_ts["c0"])
+        (ref * weights[k]).sum().backward()
+        npt.assert_allclose(out.data[k], ref.data, rtol=1e-10, atol=1e-12)
+        fused = {key: t.grad for key, t in tps[k].to_dict("c").items()}
+        fused.update({key: t.grad[k] for key, t in ts.items()})
+        expected = {key: t.grad for key, t in ref_tp.to_dict("c").items()}
+        expected.update({key: t.grad for key, t in ref_ts.items()})
+        for key, g in expected.items():
+            assert fused[key] is not None, key
+            npt.assert_allclose(fused[key], g, rtol=1e-10, atol=1e-10 * np.abs(g).max(),
+                                err_msg=key)
+
+
+def test_lstm_sequence_rejects_a_mask_with_gaps():
+    rng = np.random.default_rng(13)
+    p = LstmParams.init(3, 4, rng)
+    with pytest.raises(ValueError, match="real steps first"):
+        lstm_sequence(p, rng.standard_normal((2, 3, 3)),
+                      mask=np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]))
+
+
+def test_encoder_normalizes_real_steps_only(monkeypatch):
+    from strokeseg import recurrent
+    from strokeseg.vae import VaeConfig, VaeModel, encoder_feature
+
+    step_rows = []
+    norm_forward = recurrent._norm_forward
+
+    def counting(v):
+        if v.ndim == 4:  # the gate blocks of one step: (cells, rows, 4, H)
+            step_rows.append(v.shape[0] * v.shape[1])
+        return norm_forward(v)
+
+    monkeypatch.setattr(recurrent, "_norm_forward", counting)
+    rng = np.random.default_rng(14)
+    m = VaeModel.init(VaeConfig(enc_hidden=4, dec_hidden=8, num_mixtures=2, latent_size=3,
+                                batch_size=4), rng)
+    mask = np.arange(7) < np.array([2, 7, 0, 5])[:, None]
+    encoder_feature(m, rng.standard_normal((4, 7, 5)) * mask[:, :, None], mask)
+    assert sum(step_rows) == 2 * mask.sum()

@@ -8,8 +8,8 @@ from strokeseg.sketch import Sketch, Stroke
 from strokeseg.vae import (VaeConfig, VaeModel, decode_sample,
                            decode_teacher_forced, encode, encoder_feature,
                            kl_loss, kl_weight, reconstruct_sketch,
-                           reverse_valid, sample_latent, total_loss, train)
-from oracles import kl_gaussian_ref, kl_monte_carlo, log_softmax_ref
+                           sample_latent, total_loss, train)
+from oracles import kl_gaussian_ref, kl_monte_carlo, log_softmax_ref, reverse_valid
 from synthdata import toy_strokes
 from tape_lstm import count_tape_nodes
 
