@@ -45,8 +45,9 @@ def load_checkpoint(path):
 
     A missing file raises OSError; a file that is not a complete, finite
     checkpoint of this format (truncated, foreign, another format version,
-    lacking an entry, or holding a NaN or inf in any array) raises one
-    ValueError naming the path.
+    lacking an entry, holding a NaN or inf in any array, or an array whose
+    name or shape its config does not imply) raises one ValueError naming
+    the path.
     """
     try:
         with np.load(path) as data:
@@ -60,11 +61,18 @@ def load_checkpoint(path):
                 if f"adam_m.{k}" in data:
                     state.m[k] = data[f"adam_m.{k}"].copy()
                     state.v[k] = data[f"adam_v.{k}"].copy()
+        config = VaeConfig.from_dict(meta["config"])
+        shapes = VaeModel.param_shapes(config)
+        if params.keys() != shapes.keys():
+            raise ValueError(f"parameters {sorted(params.keys() ^ shapes.keys())} do not "
+                             f"match the config")
         for prefix, arrays in (("param", params), ("adam_m", state.m), ("adam_v", state.v)):
             for k, v in arrays.items():
+                if v.shape != shapes[k]:
+                    raise ValueError(f"{prefix}.{k} has shape {v.shape}, but the config "
+                                     f"implies {shapes[k]}")
                 if not np.isfinite(v).all():
                     raise ValueError(f"non-finite values in {prefix}.{k}")
-        config = VaeConfig.from_dict(meta["config"])
     except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
         reason = exc if zipfile.is_zipfile(path) else "not an npz archive"
         raise ValueError(f"cannot read checkpoint {path}: {reason}") from exc

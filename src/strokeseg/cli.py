@@ -2,9 +2,9 @@
 
 Subcommands: preprocess, train-vae, reconstruct, train-seg, eval-seg,
 render, rerun. Every run writes a manifest.json recording the argument
-vector, config, input checksums, and seed; `rerun` replays a manifest into
-a fresh output directory and reproduces reports and loss curves byte for
-byte.
+vector, config, input checksums, and seed; `rerun` checks the inputs
+against the recorded checksums, then replays the manifest into a fresh
+output directory and reproduces reports and loss curves byte for byte.
 """
 
 from __future__ import annotations
@@ -147,8 +147,9 @@ def cmd_train_vae(args, argv) -> int:
     save_checkpoint(final, model, adam_state)
     loss_csv = out_dir / "loss.csv"
     _write_loss_csv(loss_csv, history)
+    inputs = [data] + [Path(p) for p in (args.config, args.resume) if p]
     _emit_manifest(out_dir, "train-vae", argv, model.config.to_dict(),
-                   [data], args.seed, [final, loss_csv], started)
+                   inputs, args.seed, [final, loss_csv], started)
     return 0
 
 
@@ -311,6 +312,9 @@ def cmd_render(args, argv) -> int:
 
 def cmd_rerun(args, argv) -> int:
     manifest = read_manifest(args.manifest)
+    for path, digest in manifest.input_checksums.items():
+        if sha256_file(path) != digest:  # a missing input raises OSError
+            raise ValueError(f"input {path} changed since {args.manifest} was recorded")
     replay = list(manifest.argv)
     if "--out" in replay:
         replay[replay.index("--out") + 1] = args.out

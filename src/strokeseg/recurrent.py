@@ -64,6 +64,14 @@ class LstmParams:
         return cls(w_x=w_x, w_h=w_h, b=np.zeros(4 * h), ln_g=np.ones((4, h)), ln_b=ln_b,
                    ln_gc=np.ones(h), ln_bc=np.zeros(h))
 
+    @staticmethod
+    def shapes(input_size: int, hidden_size: int, prefix: str) -> dict:
+        """The shape of each array `init` makes, keyed as `to_dict(prefix)` keys it."""
+        h = hidden_size
+        shapes = {"w_x": (input_size, 4 * h), "w_h": (h, 4 * h), "b": (4 * h,), "ln_g": (4, h),
+                  "ln_b": (4, h), "ln_gc": (h,), "ln_bc": (h,)}
+        return {f"{prefix}.{k}": v for k, v in shapes.items()}
+
     def to_dict(self, prefix: str) -> dict:
         return {f"{prefix}.{f.name}": getattr(self, f.name) for f in fields(self)}
 

@@ -9,6 +9,12 @@ The MLP's forward and backward are written out in numpy rather than run on
 the autodiff tape. They repeat the tape's floating-point operations in the
 tape's order, so losses, gradients and trained weights are bit-identical to
 the tape version kept in the tests as the oracle.
+
+Adam runs only over the first-layer weight rows of input columns that are
+nonzero somewhere in the training rows. Any other row's gradient is exactly
+zero at every step and its moments start at zero, so a textbook Adam step
+would leave the row and its moments unchanged bit for bit: skipping it
+gives the same weights as updating every row.
 """
 
 from __future__ import annotations
@@ -159,6 +165,16 @@ def _weighted_ce(log_p: np.ndarray, onehot: np.ndarray) -> float:
     return float(((log_p * onehot).sum(axis=-1).sum() * (1.0 / len(log_p))) * -1.0)
 
 
+def _live_rows(params: dict, grads: dict, live: np.ndarray) -> tuple:
+    """Views of the parameters and gradients that Adam can move: one per run
+    of `w_h1` rows whose input column is `live`, and every other parameter
+    whole. The views write through to `params`."""
+    edges = np.flatnonzero(np.diff(live, prepend=False, append=False)).reshape(-1, 2)
+    views = [(f"w_h1[{lo}:{hi}]", "w_h1", slice(lo, hi)) for lo, hi in edges]
+    views += [(k, k, slice(None)) for k in params if k != "w_h1"]
+    return tuple({name: d[k][rows] for name, k, rows in views} for d in (params, grads))
+
+
 def train_segmenter(features, labels, classes, config: SegConfig,
                     rng: np.random.Generator) -> SegModel:
     """Train the MLP head; the feature extractor is untouched.
@@ -183,6 +199,8 @@ def train_segmenter(features, labels, classes, config: SegConfig,
     w[present] = class_weights(counts[present])
     state = AdamState()
     grads = {k: np.empty_like(v) for k, v in model.params.items()}
+    live_params, live_grads = _live_rows(model.params, grads,
+                                         features[tr_idx].any(axis=0))
     x_val, onehot_val = features[val_idx], _onehot(labels[val_idx], w)
     best = {k: v.copy() for k, v in model.params.items()}
     best_val = np.inf
@@ -203,7 +221,7 @@ def train_segmenter(features, labels, classes, config: SegConfig,
                 raise RuntimeError(f"non-finite segmentation loss at epoch {epoch}")
             if config.learning_rate > 0:
                 _backward(model.params, cache, onehot, grads)
-                adam_update(model.params, grads, state, config.learning_rate,
+                adam_update(live_params, live_grads, state, config.learning_rate,
                             config.grad_clip)
         record = {"epoch": epoch, "train_loss": loss}
         if len(val_idx):
@@ -211,7 +229,8 @@ def train_segmenter(features, labels, classes, config: SegConfig,
             record["val_loss"] = val_loss
             if val_loss < best_val:
                 best_val = val_loss
-                best = {k: v.copy() for k, v in model.params.items()}
+                for k, v in model.params.items():
+                    np.copyto(best[k], v)
                 stall = 0
             else:
                 stall += 1

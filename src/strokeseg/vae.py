@@ -88,25 +88,39 @@ class VaeModel:
 
     @classmethod
     def init(cls, config: VaeConfig, rng: np.random.Generator) -> "VaeModel":
-        e, d = config.enc_hidden, config.dec_hidden
-        nz, m = config.latent_size, config.num_mixtures
+        cells, dense = _layers(config)
         params = {}
-        params.update(LstmParams.init(5, e, rng).to_dict("enc_fwd"))
-        params.update(LstmParams.init(5, e, rng).to_dict("enc_bwd"))
-        params.update(LstmParams.init(5 + nz, d, rng).to_dict("dec"))
-        params["w_mu"] = xavier_init(2 * e, nz, rng)
-        params["b_mu"] = np.zeros(nz)
-        params["w_sigma"] = xavier_init(2 * e, nz, rng)
-        params["b_sigma"] = np.zeros(nz)
-        params["w_z"] = xavier_init(nz, 2 * d, rng)
-        params["b_z"] = np.zeros(2 * d)
-        params["w_y"] = xavier_init(d, 6 * m + 3, rng)
-        params["b_y"] = np.zeros(6 * m + 3)
+        for prefix, inputs, hidden in cells:
+            params.update(LstmParams.init(inputs, hidden, rng).to_dict(prefix))
+        for name, rows, cols in dense:
+            params[f"w_{name}"] = xavier_init(rows, cols, rng)
+            params[f"b_{name}"] = np.zeros(cols)
         return cls(config, params)
+
+    @staticmethod
+    def param_shapes(config: VaeConfig) -> dict:
+        """The shape of every parameter array `init` makes for `config`."""
+        cells, dense = _layers(config)
+        shapes = {}
+        for prefix, inputs, hidden in cells:
+            shapes.update(LstmParams.shapes(inputs, hidden, prefix))
+        for name, rows, cols in dense:
+            shapes[f"w_{name}"], shapes[f"b_{name}"] = (rows, cols), (cols,)
+        return shapes
 
     def tensors(self, requires_grad: bool = False) -> dict:
         return {k: Tensor(v, requires_grad=requires_grad)
                 for k, v in self.params.items()}
+
+
+def _layers(config: VaeConfig) -> tuple:
+    """(prefix, input size, hidden size) of each LSTM cell and (name, rows,
+    columns) of each dense layer, in the order `VaeModel.init` draws them."""
+    e, d = config.enc_hidden, config.dec_hidden
+    nz, m = config.latent_size, config.num_mixtures
+    cells = (("enc_fwd", 5, e), ("enc_bwd", 5, e), ("dec", 5 + nz, d))
+    dense = (("mu", 2 * e, nz), ("sigma", 2 * e, nz), ("z", nz, 2 * d), ("y", d, 6 * m + 3))
+    return cells, dense
 
 
 def _dropout_masks(config: VaeConfig, batch_rows: int, rng: np.random.Generator) -> dict:

@@ -82,6 +82,20 @@ def test_load_rejects_non_finite_arrays(tmp_path, key):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("edit", ["drop", "extra"])
+def test_load_rejects_parameter_names_the_config_does_not_imply(tmp_path, edit):
+    m = VaeModel.init(CFG, np.random.default_rng(7))
+    if edit == "drop":
+        del m.params["w_mu"]
+    else:
+        m.params["w_extra"] = np.zeros(3)
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, m)
+    name = "w_mu" if edit == "drop" else "w_extra"
+    with pytest.raises(ValueError, match=f"{path}: parameters \\['{name}'\\] do not match"):
+        load_checkpoint(path)
+
+
 def test_format_version_recorded(tmp_path):
     m = VaeModel.init(CFG, np.random.default_rng(5))
     path = tmp_path / "model.npz"

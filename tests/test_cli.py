@@ -216,7 +216,7 @@ def test_key_value_config_matches_its_json_twin(raw_file, config_file, tmp_path)
 
 
 @pytest.mark.parametrize("damage", ["truncated", "missing_param", "foreign", "old_format",
-                                    "non_finite"])
+                                    "non_finite", "config_wider", "short_param"])
 def test_bad_checkpoint_is_one_error_line(raw_file, annotated_file, config_file,
                                           tmp_path, capsys, damage):
     run = tmp_path / "run"
@@ -231,10 +231,15 @@ def test_bad_checkpoint_is_one_error_line(raw_file, annotated_file, config_file,
     else:
         with np.load(good) as z:
             arrays = {k: z[k] for k in z.files if k != "param.w_mu" or damage != "missing_param"}
-        if damage == "old_format":
+        if damage in ("old_format", "config_wider"):
             meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-            meta["format_version"] = 1
+            if damage == "old_format":
+                meta["format_version"] = 1
+            else:
+                meta["config"]["enc_hidden"] = 2 * TINY_CFG["enc_hidden"]
             arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        elif damage == "short_param":
+            arrays["param.w_mu"] = arrays["param.w_mu"][:3]
         elif damage == "non_finite":
             arrays["param.w_y"] = arrays["param.w_y"].copy()
             arrays["param.w_y"][0, 0] = np.nan
@@ -250,6 +255,8 @@ def test_bad_checkpoint_is_one_error_line(raw_file, annotated_file, config_file,
         assert len(err) == 1 and err[0].startswith("error:")
         assert str(bad) in err[0] and "pickle" not in err[0]
         assert damage != "non_finite" or "param.w_y" in err[0]
+        assert damage != "config_wider" or "param.enc_bwd.b has shape (16,)" in err[0]
+        assert damage != "short_param" or "param.w_mu has shape (3, 3)" in err[0]
 
 
 def test_render_single_sketch(annotated_file, tmp_path):
@@ -407,6 +414,31 @@ def test_rerun_reproduces_report_byte_for_byte(annotated_file, tmp_path):
                  "--out", str(second)]) == 0
     assert ((second / "report.json").read_bytes()
             == (first / "report.json").read_bytes())
+
+
+@pytest.mark.parametrize("changed", ["eval_seg_data", "train_vae_config"])
+def test_rerun_refuses_a_changed_input(annotated_file, raw_file, config_file, tmp_path,
+                                       capsys, changed):
+    first = tmp_path / "first"
+    if changed == "eval_seg_data":
+        argv, edited = ["eval-seg", "--data", str(annotated_file), "--feature", "idm",
+                        "--folds", "3", "--epochs", "1"], annotated_file
+    else:
+        argv, edited = ["train-vae", "--data", str(raw_file), "--config", str(config_file),
+                        "--epochs", "0"], config_file
+    assert main(argv + ["--out", str(first)]) == 0
+    if changed == "eval_seg_data":
+        lines = edited.read_text(encoding="utf-8").splitlines(keepends=True)
+        edited.write_text("".join(lines[:-1]), encoding="utf-8")
+    else:
+        edited.write_text(json.dumps({**TINY_CFG, "dec_hidden": 16}), encoding="utf-8")
+    capsys.readouterr()
+    second = tmp_path / "second"
+    assert main(["rerun", str(first / "manifest.json"), "--out", str(second)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert str(edited) in err[0] and "changed" in err[0]
+    assert not second.exists()
 
 
 def test_data_dir_env_fallback(annotated_file, tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 
 from strokeseg.autodiff import Tensor
 from strokeseg.gradcheck import finite_difference_check
+from strokeseg import segmentation
 from strokeseg.segmentation import (CvReport, SegConfig, SegModel,
                                     class_weights, confusion_matrix,
                                     cross_validate, evaluate_accuracy,
@@ -181,6 +182,60 @@ def test_train_segmenter_is_deterministic():
                          np.random.default_rng(4))
     for k in m1.params:
         npt.assert_array_equal(m1.params[k], m2.params[k])
+
+
+SPARSE_CFG = SegConfig(hidden1=16, hidden2=8, epochs=6, batch_size=8, keep_prob=0.5,
+                       val_fraction=0.25, patience=3)
+SPARSE_LIVE = [False, True, False, False, True, True, False]
+
+
+def _sparse_case(seed):
+    """Seven feature columns for `train_segmenter(..., default_rng(seed))`:
+    blobs in columns 1 and 4, column 3 nonzero in held-out validation rows
+    only, column 5 nonzero in one training row, the rest zero."""
+    feats, labels = _blobs(np.random.default_rng(seed), n_per_class=12)
+    x = np.zeros((len(feats), len(SPARSE_LIVE)))
+    x[:, [1, 4]] = feats
+    # the split train_segmenter draws after the Xavier init of its model
+    rng = np.random.default_rng(seed)
+    SegModel.init(x.shape[1], ["a", "b", "c"], SPARSE_CFG, rng)
+    order = rng.permutation(len(x))
+    n_val = int(len(x) * SPARSE_CFG.val_fraction)
+    x[order[:n_val], 3] = 2.5
+    x[order[n_val], 5] = -1.5
+    return x, labels
+
+
+def test_live_rows_are_the_columns_nonzero_in_training_rows(monkeypatch):
+    seen = []
+
+    def spy(params, grads, live):
+        seen.append(live.copy())
+        return live_rows(params, grads, live)
+
+    live_rows = segmentation._live_rows
+    monkeypatch.setattr(segmentation, "_live_rows", spy)
+    x, labels = _sparse_case(46)
+    train_segmenter(x, labels, ["a", "b", "c"], SPARSE_CFG, np.random.default_rng(46))
+    assert [v.tolist() for v in seen] == [SPARSE_LIVE]
+
+
+def test_skipping_dead_rows_matches_updating_every_row(monkeypatch):
+    x, labels = _sparse_case(47)
+    skipped = train_segmenter(x, labels, ["a", "b", "c"], SPARSE_CFG,
+                              np.random.default_rng(47))
+    monkeypatch.setattr(segmentation, "_live_rows", lambda params, grads, live: (params, grads))
+    full = train_segmenter(x, labels, ["a", "b", "c"], SPARSE_CFG, np.random.default_rng(47))
+    assert len(skipped.history) > 1
+    assert skipped.history == full.history
+    assert list(skipped.params) == list(full.params)
+    for k in full.params:
+        npt.assert_array_equal(skipped.params[k], full.params[k])
+    init = SegModel.init(x.shape[1], ["a", "b", "c"], SPARSE_CFG,
+                         np.random.default_rng(47)).params["w_h1"]
+    live = np.array(SPARSE_LIVE)
+    npt.assert_array_equal(skipped.params["w_h1"][~live], init[~live])
+    assert np.all(np.any(skipped.params["w_h1"][live] != init[live], axis=1))
 
 
 def test_train_segmenter_validates_alignment():

@@ -56,6 +56,7 @@ def test_model_init_shapes():
     assert m.params["dec.ln_g"].shape == m.params["dec.ln_b"].shape == (4, 8)
     # three LSTMs of 7 arrays each, then mu, sigma, z and y weights and biases
     assert len(m.params) == 29
+    assert {k: v.shape for k, v in m.params.items()} == VaeModel.param_shapes(m.config)
     assert m.step == 0
 
 
