@@ -224,6 +224,12 @@ def _confusion_dict(report) -> dict:
 
 def _run_segmentation(args, argv, command: str) -> int:
     started = time.monotonic()
+    sizes = [s for s in (args.train_sizes or "").split(",") if s]
+    bad = [s for s in sizes if not s.strip().isdecimal() or int(s) < 1]
+    if bad:
+        raise ValueError(f"--train-sizes needs positive integers, got {bad[0]!r}")
+    if args.epochs < 0:
+        raise ValueError(f"--epochs must be at least 0, got {args.epochs}")
     data = _resolve_data(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -259,15 +265,13 @@ def _run_segmentation(args, argv, command: str) -> int:
         "mean_accuracy": report.mean_accuracy,
         "confusion": _confusion_dict(report),
     }
-    if args.train_sizes:
-        sizes = [int(s) for s in args.train_sizes.split(",") if s]
+    if sizes:
         sweep = {}
-        for size in sizes:
-            size_rng = np.random.default_rng(args.seed + size)
+        for size in map(int, sizes):
             size_report = cross_validate(
                 sketches, args.folds,
                 _seg_train_fn(feature_fn, classes, config, train_size=size),
-                size_rng, classes=classes)
+                np.random.default_rng(args.seed + size), classes=classes)
             sweep[str(size)] = {
                 "mean_accuracy": size_report.mean_accuracy,
                 "fold_accuracies": size_report.fold_accuracies,

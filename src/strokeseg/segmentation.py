@@ -10,11 +10,11 @@ the autodiff tape. They repeat the tape's floating-point operations in the
 tape's order, so losses, gradients and trained weights are bit-identical to
 the tape version kept in the tests as the oracle.
 
-Adam runs only over the first-layer weight rows of input columns that are
-nonzero somewhere in the training rows. Any other row's gradient is exactly
-zero at every step and its moments start at zero, so a textbook Adam step
-would leave the row and its moments unchanged bit for bit: skipping it
-gives the same weights as updating every row.
+Training runs on the live input columns (nonzero in some training row) and
+their first-layer weight rows only, gathered once per call. A dead row would
+get a zero gradient at every step, so it keeps its initial weights. Trained
+rows are written back after every epoch; validation and inference run at full
+width, so a held-out row nonzero in a dead column reads that initial row.
 """
 
 from __future__ import annotations
@@ -165,14 +165,9 @@ def _weighted_ce(log_p: np.ndarray, onehot: np.ndarray) -> float:
     return float(((log_p * onehot).sum(axis=-1).sum() * (1.0 / len(log_p))) * -1.0)
 
 
-def _live_rows(params: dict, grads: dict, live: np.ndarray) -> tuple:
-    """Views of the parameters and gradients that Adam can move: one per run
-    of `w_h1` rows whose input column is `live`, and every other parameter
-    whole. The views write through to `params`."""
-    edges = np.flatnonzero(np.diff(live, prepend=False, append=False)).reshape(-1, 2)
-    views = [(f"w_h1[{lo}:{hi}]", "w_h1", slice(lo, hi)) for lo, hi in edges]
-    views += [(k, k, slice(None)) for k in params if k != "w_h1"]
-    return tuple({name: d[k][rows] for name, k, rows in views} for d in (params, grads))
+def _live_columns(x: np.ndarray) -> np.ndarray:
+    """Columns nonzero in some row of `x`: the only inputs training can move."""
+    return x.any(axis=0)
 
 
 def train_segmenter(features, labels, classes, config: SegConfig,
@@ -197,10 +192,11 @@ def train_segmenter(features, labels, classes, config: SegConfig,
     present = counts > 0
     w = np.zeros(len(counts))
     w[present] = class_weights(counts[present])
+    live = _live_columns(features[tr_idx])
+    x_live, w_h1 = features[:, live], model.params["w_h1"]
+    params = {**model.params, "w_h1": w_h1[live]}
     state = AdamState()
-    grads = {k: np.empty_like(v) for k, v in model.params.items()}
-    live_params, live_grads = _live_rows(model.params, grads,
-                                         features[tr_idx].any(axis=0))
+    grads = {k: np.empty_like(v) for k, v in params.items()}
     x_val, onehot_val = features[val_idx], _onehot(labels[val_idx], w)
     best = {k: v.copy() for k, v in model.params.items()}
     best_val = np.inf
@@ -209,21 +205,23 @@ def train_segmenter(features, labels, classes, config: SegConfig,
         perm = rng.permutation(len(tr_idx))
         for start in range(0, len(perm), config.batch_size):
             rows = tr_idx[perm[start:start + config.batch_size]]
-            x, onehot = features[rows], _onehot(labels[rows], w)
+            x, onehot = x_live[rows], _onehot(labels[rows], w)
             masks = None
             if config.keep_prob < 1.0:
                 masks = tuple((rng.random((len(rows), h)) < config.keep_prob)
                               / config.keep_prob
                               for h in (config.hidden1, config.hidden2))
-            log_p, cache = _forward(model.params, x, masks)
+            log_p, cache = _forward(params, x, masks)
             loss = _weighted_ce(log_p, onehot)
             if not np.isfinite(loss):
                 raise RuntimeError(f"non-finite segmentation loss at epoch {epoch}")
             if config.learning_rate > 0:
-                _backward(model.params, cache, onehot, grads)
-                adam_update(live_params, live_grads, state, config.learning_rate,
+                _backward(params, cache, onehot, grads)
+                adam_update(params, grads, state, config.learning_rate,
                             config.grad_clip)
+        w_h1[live] = params["w_h1"]
         record = {"epoch": epoch, "train_loss": loss}
+        model.history.append(record)
         if len(val_idx):
             val_loss = _weighted_ce(_forward(model.params, x_val)[0], onehot_val)
             record["val_loss"] = val_loss
@@ -234,11 +232,8 @@ def train_segmenter(features, labels, classes, config: SegConfig,
                 stall = 0
             else:
                 stall += 1
-            model.history.append(record)
             if stall >= config.patience:
                 break
-        else:
-            model.history.append(record)
     if len(val_idx):
         model.params = best
     return model

@@ -329,6 +329,29 @@ def test_eval_seg_checks_folds_before_computing_features(annotated_file, tmp_pat
     assert calls == []
 
 
+@pytest.mark.parametrize("command", ["eval-seg", "train-seg"])
+@pytest.mark.parametrize("flag,value,named", [("--train-sizes", "3,abc", "'abc'"),
+                                              ("--train-sizes", "0,3", "'0'"),
+                                              ("--train-sizes", "2,-1", "'-1'"),
+                                              ("--epochs", "-1", "-1")])
+def test_seg_rejects_bad_arguments_before_computing_features(
+        annotated_file, tmp_path, monkeypatch, capsys, command, flag, value, named):
+    import strokeseg.cli as cli
+    calls = []
+    real = cli.segmentation_feature
+    monkeypatch.setattr(cli, "segmentation_feature",
+                        lambda *args: calls.append(args) or real(*args))
+    rc = main([command, "--data", str(annotated_file), "--feature", "idm",
+               "--folds", "3", "--epochs", "3", flag, value,
+               "--out", str(tmp_path / "seg")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {flag}")
+    assert err[0].endswith(named)
+    assert calls == []
+    assert not (tmp_path / "seg" / "report.json").exists()
+
+
 def test_eval_seg_rejects_category_that_does_not_match_labels(annotated_file, tmp_path,
                                                              monkeypatch, capsys):
     import strokeseg.cli as cli

@@ -196,46 +196,111 @@ def _sparse_case(seed):
     feats, labels = _blobs(np.random.default_rng(seed), n_per_class=12)
     x = np.zeros((len(feats), len(SPARSE_LIVE)))
     x[:, [1, 4]] = feats
-    # the split train_segmenter draws after the Xavier init of its model
-    rng = np.random.default_rng(seed)
-    SegModel.init(x.shape[1], ["a", "b", "c"], SPARSE_CFG, rng)
-    order = rng.permutation(len(x))
-    n_val = int(len(x) * SPARSE_CFG.val_fraction)
-    x[order[:n_val], 3] = 2.5
-    x[order[n_val], 5] = -1.5
+    val, tr = _sparse_split(seed, len(x))
+    x[val, 3] = 2.5
+    x[tr[0], 5] = -1.5
     return x, labels
 
 
-def test_live_rows_are_the_columns_nonzero_in_training_rows(monkeypatch):
+def _sparse_split(seed, n):
+    """The (validation, training) rows train_segmenter draws after the
+    Xavier init of its model."""
+    rng = np.random.default_rng(seed)
+    SegModel.init(len(SPARSE_LIVE), ["a", "b", "c"], SPARSE_CFG, rng)
+    order = rng.permutation(n)
+    n_val = int(n * SPARSE_CFG.val_fraction)
+    return order[:n_val], order[n_val:]
+
+
+def test_live_columns_are_the_columns_nonzero_in_training_rows(monkeypatch):
     seen = []
 
-    def spy(params, grads, live):
-        seen.append(live.copy())
-        return live_rows(params, grads, live)
+    def spy(x):
+        seen.append(live_columns(x))
+        return seen[-1]
 
-    live_rows = segmentation._live_rows
-    monkeypatch.setattr(segmentation, "_live_rows", spy)
+    live_columns = segmentation._live_columns
+    monkeypatch.setattr(segmentation, "_live_columns", spy)
     x, labels = _sparse_case(46)
     train_segmenter(x, labels, ["a", "b", "c"], SPARSE_CFG, np.random.default_rng(46))
     assert [v.tolist() for v in seen] == [SPARSE_LIVE]
 
 
-def test_skipping_dead_rows_matches_updating_every_row(monkeypatch):
+def test_narrowed_training_matches_full_width_training(monkeypatch):
     x, labels = _sparse_case(47)
-    skipped = train_segmenter(x, labels, ["a", "b", "c"], SPARSE_CFG,
-                              np.random.default_rng(47))
-    monkeypatch.setattr(segmentation, "_live_rows", lambda params, grads, live: (params, grads))
+    narrowed = train_segmenter(x, labels, ["a", "b", "c"], SPARSE_CFG,
+                               np.random.default_rng(47))
+    monkeypatch.setattr(segmentation, "_live_columns",
+                        lambda x: np.ones(x.shape[1], dtype=bool))
     full = train_segmenter(x, labels, ["a", "b", "c"], SPARSE_CFG, np.random.default_rng(47))
-    assert len(skipped.history) > 1
-    assert skipped.history == full.history
-    assert list(skipped.params) == list(full.params)
+    assert len(narrowed.history) > 1
+    assert narrowed.history == full.history
+    assert list(narrowed.params) == list(full.params)
     for k in full.params:
-        npt.assert_array_equal(skipped.params[k], full.params[k])
+        npt.assert_array_equal(narrowed.params[k], full.params[k])
     init = SegModel.init(x.shape[1], ["a", "b", "c"], SPARSE_CFG,
                          np.random.default_rng(47)).params["w_h1"]
     live = np.array(SPARSE_LIVE)
-    npt.assert_array_equal(skipped.params["w_h1"][~live], init[~live])
-    assert np.all(np.any(skipped.params["w_h1"][live] != init[live], axis=1))
+    npt.assert_array_equal(narrowed.params["w_h1"][~live], init[~live])
+    assert np.all(np.any(narrowed.params["w_h1"][live] != init[live], axis=1))
+
+
+def test_validation_reads_dead_columns_through_their_initial_rows():
+    # column 3 is nonzero in validation rows only: training never sees it,
+    # but the held-out loss goes through its (untrained) first-layer row
+    x, labels = _sparse_case(46)
+    blank = x.copy()
+    blank[:, 3] = 0.0
+    with_dead = train_segmenter(x, labels, ["a", "b", "c"], SPARSE_CFG,
+                                np.random.default_rng(46))
+    without = train_segmenter(blank, labels, ["a", "b", "c"], SPARSE_CFG,
+                              np.random.default_rng(46))
+    assert [r["train_loss"] for r in with_dead.history] == \
+        [r["train_loss"] for r in without.history]
+    assert all(a["val_loss"] != b["val_loss"]
+               for a, b in zip(with_dead.history, without.history))
+    # the best held-out loss is the returned full-width model's
+    val, tr = _sparse_split(46, len(x))
+    w = class_weights(np.bincount(labels[tr], minlength=3))
+    val_loss = _weighted_ce(_forward(with_dead.params, x[val])[0], _onehot(labels[val], w))
+    assert val_loss == min(r["val_loss"] for r in with_dead.history)
+
+
+def _spy_adam(monkeypatch):
+    seen = []
+    real = segmentation.adam_update
+
+    def spy(params, grads, *args):
+        seen.append({k: (v.shape, v.flags.c_contiguous, grads[k].shape,
+                         grads[k].flags.c_contiguous) for k, v in params.items()})
+        return real(params, grads, *args)
+    monkeypatch.setattr(segmentation, "adam_update", spy)
+    return seen
+
+
+def test_adam_sees_six_dense_arrays_with_live_w_h1_rows(monkeypatch):
+    seen = _spy_adam(monkeypatch)
+    x, labels = _sparse_case(46)
+    train_segmenter(x, labels, ["a", "b", "c"], SPARSE_CFG, np.random.default_rng(46))
+    assert seen
+    h1, h2 = SPARSE_CFG.hidden1, SPARSE_CFG.hidden2
+    shapes = {"w_h1": (sum(SPARSE_LIVE), h1), "b_h1": (h1,), "w_h2": (h1, h2),
+              "b_h2": (h2,), "w_o": (h2, 3), "b_o": (3,)}
+    expected = {k: (shape, True, shape, True) for k, shape in shapes.items()}
+    assert all(step == expected for step in seen)
+
+
+def test_all_zero_features_train_the_output_bias_only(monkeypatch):
+    seen = _spy_adam(monkeypatch)
+    labels = np.array([0, 1, 2] * 8)
+    m = train_segmenter(np.zeros((len(labels), 5)), labels, ["a", "b", "c"], SPARSE_CFG,
+                        np.random.default_rng(9))
+    init = SegModel.init(5, ["a", "b", "c"], SPARSE_CFG, np.random.default_rng(9)).params
+    assert seen and all(step["w_h1"][0] == (0, SPARSE_CFG.hidden1) for step in seen)
+    # zero inputs leave every ReLU at 0, so only the output bias gets a gradient
+    for k in ("w_h1", "b_h1", "w_h2", "b_h2", "w_o"):
+        npt.assert_array_equal(m.params[k], init[k])
+    assert np.any(m.params["b_o"] != init["b_o"])
 
 
 def test_train_segmenter_validates_alignment():
