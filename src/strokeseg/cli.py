@@ -100,8 +100,15 @@ def _emit_manifest(out_dir: Path, command: str, argv: list, config: dict,
     write_manifest(out_dir / "manifest.json", manifest)
 
 
+def _require_not_negative(flag: str, value) -> None:
+    if not value >= 0:  # also true for NaN
+        raise ValueError(f"{flag} must be at least 0, got {value}")
+
+
 def cmd_preprocess(args, argv) -> int:
     started = time.monotonic()
+    _require_not_negative("--epsilon", args.epsilon)
+    _require_not_negative("--min-len", args.min_len)
     data = _resolve_data(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -125,6 +132,7 @@ def cmd_preprocess(args, argv) -> int:
 
 def cmd_train_vae(args, argv) -> int:
     started = time.monotonic()
+    _require_not_negative("--epochs", args.epochs)
     data = _resolve_data(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -155,14 +163,17 @@ def cmd_train_vae(args, argv) -> int:
 
 def cmd_reconstruct(args, argv) -> int:
     started = time.monotonic()
+    taus = [float(t) for t in args.tau.split(",") if t]
+    if not taus:
+        raise ValueError("--tau needs at least one value")
+    for tau in taus:
+        if not 0.0 < tau <= 1.0:
+            raise ValueError(f"--tau values must be in (0, 1], got {tau}")
     data = _resolve_data(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     model, _ = load_checkpoint(args.checkpoint)
     sketches, _ = _detect_and_parse(data)
-    taus = [float(t) for t in args.tau.split(",") if t]
-    if not taus:
-        raise ValueError("--tau needs at least one value")
     rng = np.random.default_rng(args.seed)
     outputs = []
     for i, sk in enumerate(sketches):
@@ -228,8 +239,7 @@ def _run_segmentation(args, argv, command: str) -> int:
     bad = [s for s in sizes if not s.strip().isdecimal() or int(s) < 1]
     if bad:
         raise ValueError(f"--train-sizes needs positive integers, got {bad[0]!r}")
-    if args.epochs < 0:
-        raise ValueError(f"--epochs must be at least 0, got {args.epochs}")
+    _require_not_negative("--epochs", args.epochs)
     data = _resolve_data(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -7,10 +7,11 @@ candidate update only, so the cell memory path is never zeroed.
 
 `lstm_sequence` runs the cell over a whole batch of sequences as a single
 autodiff node whose backward pass is explicit backpropagation through time:
-the input projection is one matmul for all steps, the four gate blocks are
-normalized together, and the weight gradients are one matmul each after
-the time loop. Each step computes only the rows still running, and
-several cells (the two directions of an encoder) share one time loop.
+the input projection is one matmul for all real steps, the four gate blocks
+are normalized together, and the weight gradients are one matmul each after
+the time loop. Each step computes only the rows still running, on a state
+grid of rows sorted by length, and several cells (the two directions of an
+encoder) share one time loop.
 """
 
 from __future__ import annotations
@@ -112,99 +113,33 @@ def _stacked(arrays):
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def _row_lengths(mask, bsz: int, length: int):
-    """Real steps per row, or None when every row runs every step. `mask`
-    must flag each row's real steps first."""
-    if mask is None:
-        return None
-    real = np.asarray(mask) != 0
-    if real.shape != (bsz, length):
-        raise ValueError(f"mask shape {real.shape} does not match the batch ({bsz}, {length})")
-    lengths = real.sum(axis=1)
-    if not np.array_equal(real, np.arange(length) < lengths[:, None]):
-        raise ValueError("mask must flag each row's real steps first")
-    return None if lengths.min() == length else lengths
+def _row_order(mask, bsz: int, length: int):
+    """The order in which the time loop runs the rows of a (B, L) batch.
 
-
-class _Packing:
-    """The rows of a (B, L) batch that each step computes, packed time-major.
-
-    Rows are sorted by length, longest first (stably), so the rows still
-    running at step t are the first `a` of that order; they sit at `lo:hi`
-    of the packed buffers (`steps` lists (a, lo, hi, prev) per step). A state
-    buffer holds the B initial states and then the packed steps, so step t
-    continues from the states at `prev` onward, and a row that has ended
-    keeps its last state. Arrays carry a leading cells axis. Without padded
-    steps the packed rows are the whole batch in input order and nothing is
-    gathered.
+    `mask` must flag each row's real steps first. Rows are sorted by length,
+    longest first (stably): `order` lists the input rows in that order and
+    `rank` inverts it. At step t the first `count[t]` sorted rows run.
+    `packed` holds the flat indices of those real slots in the (L, B) grid
+    of sorted rows, step by step, and `in_input_order` puts the packed rows
+    in (step, input row) order, the order in which a loop over the whole
+    batch meets them. When every row runs every step, all but `count` are
+    slices, so nothing is gathered.
     """
-
-    def __init__(self, mask, bsz: int, length: int):
-        self.bsz, self.length = bsz, length
-        self.lengths = _row_lengths(mask, bsz, length)
-        if self.lengths is None:
-            self.order = self.rank = slice(None)
-            count = [bsz] * length
-        else:
-            self.order = np.argsort(-self.lengths, kind="stable")
-            self.rank = np.argsort(self.order)
-            count = (self.lengths[self.order] > np.arange(length)[:, None]).sum(axis=1).tolist()
-        start = [0, *accumulate(count)]
-        self.real = start.pop()
-        base = [0] + [bsz + lo for lo in start]
-        self.steps = [(a, lo, lo + a, base[t])
-                      for t, (a, lo) in enumerate(zip(count, start)) if a]
-        if self.lengths is not None:
-            self.base = np.array(base)
-            step_of = np.repeat(np.arange(length), count)
-            row_of = np.arange(self.real) - np.array(start)[step_of]
-            self.source = (self.order[row_of], step_of)   # input row and step
-            self.prev = self.base[step_of] + row_of
-            self.in_input_order = np.lexsort(self.source)
-
-    def pack(self, a):
-        """(D, B, L, ...) in input order -> the packed (D, real, ...) rows."""
-        if self.lengths is None:
-            return a.swapaxes(1, 2).reshape((a.shape[0], self.real) + a.shape[3:])
-        return a[:, self.source[0], self.source[1]]
-
-    def unpack(self, a):
-        """The packed (D, real, ...) rows -> (D, B, L, ...), zero when padded."""
-        if self.lengths is None:
-            return a.reshape((a.shape[0], self.length, self.bsz) + a.shape[2:]).swapaxes(1, 2)
-        out = np.zeros((a.shape[0], self.bsz, self.length) + a.shape[2:])
-        out[:, self.source[0], self.source[1]] = a
-        return out
-
-    def input_order(self, a):
-        """The packed rows in (step, input row) order: the order in which a
-        loop over the whole batch meets them."""
-        return a if self.lengths is None else a[:, self.in_input_order]
-
-    def previous(self, states):
-        """Per packed row, the state its step continues from."""
-        return states[:, :self.real] if self.lengths is None else states[:, self.prev]
-
-    def latched(self, states):
-        """(D, B, L, ...): per row and step, the state after the row's last
-        real step up to then."""
-        if self.lengths is None:
-            return states[:, self.bsz:].reshape(
-                (states.shape[0], self.length, self.bsz) + states.shape[2:]).swapaxes(1, 2)
-        last = np.minimum(np.arange(self.length), self.lengths[:, None] - 1)
-        return states[:, self.base[last + 1] + self.rank[:, None]]
-
-    def upstream(self, grad, t: int, a: int):
-        """The gradient at step t of the rows still running, (D, a, ...)."""
-        return grad[:, :a, t] if self.lengths is None else grad[:, self.order[:a], t]
-
-    def held(self, grad):
-        """Per sorted row, the summed gradient of its padded steps, which all
-        read its latched state: (D, B, ...)."""
-        if self.lengths is None:
-            return np.zeros((grad.shape[0], self.bsz) + grad.shape[3:])
-        padded = (np.arange(self.length) >= self.lengths[:, None]).astype(np.float64)
-        return (padded[:, None, :] @ grad)[:, self.order, 0]
+    every = slice(None)
+    if mask is not None:
+        real = np.asarray(mask) != 0
+        if real.shape != (bsz, length):
+            raise ValueError(f"mask shape {real.shape} does not match the batch ({bsz}, {length})")
+        lengths = real.sum(axis=1)
+        if not np.array_equal(real, np.arange(length) < lengths[:, None]):
+            raise ValueError("mask must flag each row's real steps first")
+    if mask is None or lengths.min() == length:
+        return every, every, [bsz] * length, every, every
+    order = np.argsort(-lengths, kind="stable")
+    running = lengths[order] > np.arange(length)[:, None]
+    packed = np.flatnonzero(running)
+    in_input_order = np.lexsort((order[packed % bsz], packed // bsz))
+    return order, np.argsort(order), running.sum(axis=1).tolist(), packed, in_input_order
 
 
 def lstm_sequence(p, xs, mask: np.ndarray | None = None,
@@ -219,6 +154,13 @@ def lstm_sequence(p, xs, mask: np.ndarray | None = None,
     every step's input, so its projection is computed once. (h0, c0) default
     to zeros. Activations are kept for the backward pass only when some
     input requires grad.
+
+    The [h; c] states fill an (L + 1, B) grid of rows sorted longest first,
+    with the initial states in slot 0. Step t computes the rows still
+    running into slot t + 1 and copies the others' states there, so the grid
+    is the latched output and the gradient of every step reaches every row.
+    The activations the backward pass reads are kept for the real steps
+    only, packed time-major.
 
     `p` may also be a tuple of cells with one hidden size, which run in the
     same time loop: `xs`, `dropout_mask`, `inputs_extra`, `h0`, `c0` and the
@@ -253,55 +195,61 @@ def lstm_sequence(p, xs, mask: np.ndarray | None = None,
     if extra is not None:
         parents += (extra,)
     keep = any(t.requires_grad for t in parents)
-    pk = _Packing(mask, bsz, length)
-    real, order = pk.real, pk.order
+    order, rank, count, packed, in_input_order = _row_order(mask, bsz, length)
+    start = list(accumulate(count, initial=0))
+    real = start[-1]
+    steps = [(a, lo, lo + a) for a, lo in zip(count, start)]
 
     def with_dirs(a):
         return a if multi else a[None]
+
+    def pack(grid):
+        """(D, L, B, ...) on the grid of sorted rows -> its (D, real, ...) real steps."""
+        return grid.reshape((dirs, length * bsz) + grid.shape[3:])[:, packed]
 
     wx, wh, b, g4, b4, gc, bc = (_stacked([ws[k].data for ws in weights]) for k in range(7))
     g4_half, b4_half = (g4 * _HALF)[:, None], (b4 * _HALF)[:, None]
     gc, bc = gc[:, None], bc[:, None]
     # without a dropout mask the candidate update is used as it is
     drop = None if dropout_mask is None else \
-        with_dirs(np.asarray(dropout_mask, dtype=np.float64))
-    drop_s = None if drop is None else drop[:, order]
+        with_dirs(np.asarray(dropout_mask, dtype=np.float64))[:, order]
 
     # The input projections and bias of every real step come before the recurrence.
-    xs_p = pk.pack(with_dirs(xs.data))
+    xs_p = pack(with_dirs(xs.data)[:, order].swapaxes(1, 2))
     pre_x = xs_p @ wx[:, :d_in] + b[:, None]
     if extra is not None:
         pre_extra = (with_dirs(extra.data) @ wx[:, d_in:])[:, order]
-        for a, lo, hi, _ in pk.steps:
+        for a, lo, hi in steps:
             pre_x[:, lo:hi] += pre_extra[:, :a]
 
-    # [h; c] of the initial states (sorted rows) and then of every real step
-    hc = np.empty((dirs, bsz + real, 2 * n))
-    hc[:, :bsz, :n] = with_dirs(h0.data)[:, order]
-    hc[:, :bsz, n:] = with_dirs(c0.data)[:, order]
+    # [h; c] of every sorted row: the initial states, then after each step
+    hc = np.empty((dirs, length + 1, bsz, 2 * n))
+    hc[:, 0, :, :n] = with_dirs(h0.data)[:, order]
+    hc[:, 0, :, n:] = with_dirs(c0.data)[:, order]
     norm = np.empty((dirs, real, 4, n))
     rstd = np.empty((dirs, real, 4, 1))
     gates = np.empty((dirs, real, 4, n))
     norm_c = np.empty((dirs, real, n))
     rstd_c = np.empty((dirs, real, 1))
     tanh_c = np.empty((dirs, real, n))
-    for a, lo, hi, prev in pk.steps:
-        nt, rt = _norm_forward(
-            (pre_x[:, lo:hi] + hc[:, prev:prev + a, :n] @ wh).reshape(dirs, a, 4, n))
+    for t, (a, lo, hi) in enumerate(steps):
+        hc[:, t + 1, a:] = hc[:, t, a:]
+        prev, new = hc[:, t, :a], hc[:, t + 1, :a]
+        nt, rt = _norm_forward((pre_x[:, lo:hi] + prev[:, :, :n] @ wh).reshape(dirs, a, 4, n))
         act = np.tanh(nt * g4_half + b4_half, out=gates[:, lo:hi])
         act *= _HALF
         act += _SHIFT
         i, f, g, o = act[:, :, 0], act[:, :, 1], act[:, :, 2], act[:, :, 3]
-        if drop_s is not None:
-            g = g * drop_s[:, :a]
-        c_new = np.multiply(f, hc[:, prev:prev + a, n:], out=hc[:, bsz + lo:bsz + hi, n:])
+        if drop is not None:
+            g = g * drop[:, :a]
+        c_new = np.multiply(f, prev[:, :, n:], out=new[:, :, n:])
         c_new += i * g
         nc, rc = _norm_forward(c_new)
         tc = np.tanh(nc * gc + bc, out=tanh_c[:, lo:hi])
-        np.multiply(o, tc, out=hc[:, bsz + lo:bsz + hi, :n])
+        np.multiply(o, tc, out=new[:, :, :n])
         norm[:, lo:hi], rstd[:, lo:hi] = nt, rt
         norm_c[:, lo:hi], rstd_c[:, lo:hi] = nc, rc
-    out = pk.latched(hc)
+    out = hc[:, 1:, rank].swapaxes(1, 2)
     result = Tensor(out if multi else out[0])
     if not keep:
         return result
@@ -313,7 +261,7 @@ def lstm_sequence(p, xs, mask: np.ndarray | None = None,
         # step then scales its slice in place, which leaves the gate
         # gradients in coef for the gain and bias sums after the loop.
         grad = with_dirs(grad)
-        hc_prev = pk.previous(hc)
+        hc_prev = pack(hc[:, :-1])
         i_all, f_all, g_all, o_all = (gates[:, :, k] for k in range(4))
         coef = gates * (1.0 - gates)
         coef[:, :, 2] = 1.0 - g_all * g_all
@@ -321,7 +269,7 @@ def lstm_sequence(p, xs, mask: np.ndarray | None = None,
             coef[:, :, 0] *= g_all
             coef[:, :, 2] *= i_all
         else:
-            drop_p = pk.pack(np.broadcast_to(drop[:, :, None], (dirs, bsz, length, n)))
+            drop_p = pack(np.broadcast_to(drop[:, None], (dirs, length, bsz, n)))
             coef[:, :, 0] *= g_all * drop_p
             coef[:, :, 2] *= i_all * drop_p
         coef[:, :, 1] *= hc_prev[:, :, n:]
@@ -329,17 +277,17 @@ def lstm_sequence(p, xs, mask: np.ndarray | None = None,
         # Likewise for the cell-state layer norm's output, scaled by dh_new.
         coef_c = o_all * (1.0 - tanh_c * tanh_c)
 
-        # A row's padded steps read its latched state, so their gradient
-        # starts its running gradient before its last real step is reached.
-        held = pk.held(grad)
-        dh, dc = held[:, :, :n].copy(), held[:, :, n:].copy()
+        # Every row's state at step t is in the output there, so every row
+        # takes that step's gradient; a row that has ended only carries it.
+        # Gathering it per step keeps no sorted copy of the whole gradient.
+        dh, dc = np.zeros((dirs, bsz, n)), np.zeros((dirs, bsz, n))
         wh_t = wh.transpose(0, 2, 1)
         d_pre = np.empty((dirs, real, 4 * n))
-        for t in range(len(pk.steps) - 1, -1, -1):
-            a, lo, hi, _ = pk.steps[t]
-            upstream = pk.upstream(grad, t, a)
-            dh[:, :a] += upstream[:, :, :n]
-            dc[:, :a] += upstream[:, :, n:]
+        for t in range(length - 1, -1, -1):
+            a, lo, hi = steps[t]
+            upstream = grad[:, order, t]
+            dh += upstream[:, :, :n]
+            dc += upstream[:, :, n:]
             dh_new = dh[:, :a]
             d_yc = coef_c[:, lo:hi]
             d_yc *= dh_new
@@ -356,28 +304,28 @@ def lstm_sequence(p, xs, mask: np.ndarray | None = None,
         if extra is not None:
             # per-row sums of the real steps' gradients, in step order
             d_rows = np.zeros((dirs, bsz, 4 * n))
-            for a, lo, hi, _ in pk.steps:
+            for a, lo, hi in steps:
                 d_rows[:, :a] += d_pre[:, lo:hi]
-            d_rows = d_rows[:, pk.rank]
+            d_rows = d_rows[:, rank]
 
         # The weight gradients sum the real steps in the order a loop over
         # the whole batch would, which adds only zeros for the padded ones.
-        d_pre_io = pk.input_order(d_pre)
+        d_pre_io = d_pre[:, in_input_order]
 
         def d_wx():
-            d = pk.input_order(xs_p).transpose(0, 2, 1) @ d_pre_io
+            d = xs_p[:, in_input_order].transpose(0, 2, 1) @ d_pre_io
             if extra is None:
                 return d
             return np.concatenate([d, with_dirs(extra.data).transpose(0, 2, 1) @ d_rows], axis=1)
 
         weight_grads = (
             d_wx,
-            lambda: pk.input_order(hc_prev[:, :, :n]).transpose(0, 2, 1) @ d_pre_io,
+            lambda: hc_prev[:, :, :n][:, in_input_order].transpose(0, 2, 1) @ d_pre_io,
             lambda: d_pre_io.sum(axis=1),
-            lambda: pk.input_order(coef * norm).sum(axis=1),
-            lambda: pk.input_order(coef).sum(axis=1),
-            lambda: pk.input_order(coef_c * norm_c).sum(axis=1),
-            lambda: pk.input_order(coef_c).sum(axis=1),
+            lambda: (coef * norm)[:, in_input_order].sum(axis=1),
+            lambda: coef[:, in_input_order].sum(axis=1),
+            lambda: (coef_c * norm_c)[:, in_input_order].sum(axis=1),
+            lambda: coef_c[:, in_input_order].sum(axis=1),
         )
         for k, compute in enumerate(weight_grads):
             if any(ws[k].requires_grad for ws in weights):
@@ -390,11 +338,13 @@ def lstm_sequence(p, xs, mask: np.ndarray | None = None,
                 tensor._accum(value if multi else value[0])
 
         if xs.requires_grad:
-            give(xs, pk.unpack(d_pre @ wx[:, :d_in].transpose(0, 2, 1)))
+            d_xs = np.zeros((dirs, length * bsz, d_in))
+            d_xs[:, packed] = d_pre @ wx[:, :d_in].transpose(0, 2, 1)
+            give(xs, d_xs.reshape(dirs, length, bsz, d_in)[:, :, rank].swapaxes(1, 2))
         if extra is not None and extra.requires_grad:
             give(extra, d_rows @ wx[:, d_in:].transpose(0, 2, 1))
-        give(h0, dh[:, pk.rank])
-        give(c0, dc[:, pk.rank])
+        give(h0, dh[:, rank])
+        give(c0, dc[:, rank])
 
     return result._track(parents, backward)
 

@@ -352,6 +352,33 @@ def test_seg_rejects_bad_arguments_before_computing_features(
     assert not (tmp_path / "seg" / "report.json").exists()
 
 
+@pytest.mark.parametrize("command,flag,value,named", [
+    ("preprocess", "--epsilon", "-1", "-1.0"),
+    ("preprocess", "--epsilon", "nan", "nan"),
+    ("preprocess", "--min-len", "-5", "-5.0"),
+    ("preprocess", "--min-len", "nan", "nan"),
+    ("train-vae", "--epochs", "-2", "-2"),
+    ("reconstruct", "--tau", "0.5,2", "2.0"),
+    ("reconstruct", "--tau", "0", "0.0"),
+    ("reconstruct", "--tau", "nan", "nan"),
+])
+def test_rejects_bad_arguments_before_reading_data(raw_file, tmp_path, monkeypatch, capsys,
+                                                   command, flag, value, named):
+    import strokeseg.cli as cli
+    calls = []
+    monkeypatch.setattr(cli, "_detect_and_parse", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "load_checkpoint", lambda *args: calls.append(args))
+    out = tmp_path / "out"
+    checkpoint = ["--checkpoint", "model.npz"] if command == "reconstruct" else []
+    assert main([command, flag, value, *checkpoint, "--data", str(raw_file),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {flag}")
+    assert err[0].endswith(named)
+    assert calls == []
+    assert not out.exists()
+
+
 def test_eval_seg_rejects_category_that_does_not_match_labels(annotated_file, tmp_path,
                                                              monkeypatch, capsys):
     import strokeseg.cli as cli

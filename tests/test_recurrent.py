@@ -197,10 +197,12 @@ def _oracle_case(seed, length, with_mask, with_dropout, with_extra, with_state):
         inputs["h0"] = rng.standard_normal((b, n))
         inputs["c0"] = rng.standard_normal((b, n))
     mask = None
-    if with_mask:
+    if with_mask is True:
         mask = np.ones((b, length))
         mask[0, max(1, length // 2):] = 0.0
         mask[2, length - 1:] = 0.0
+    elif with_mask:  # the rows' lengths
+        mask = (np.arange(length) < np.array(with_mask)[:, None]).astype(np.float64)
     drop = (rng.random((b, n)) < 0.7) / 0.7 if with_dropout else None
     weights = rng.standard_normal((b, length, 2 * n))
     return p, inputs, mask, drop, weights
@@ -226,6 +228,8 @@ def _run_with_grads(fn, p, inputs, mask, drop, weights):
     (7, True, True, True, True),
     (1, True, True, True, True),
     (1, False, False, False, False),
+    pytest.param(6, (2, 4, 3), True, False, True, id="no_row_reaches_the_last_steps"),
+    pytest.param(6, (0, 6, 2), True, True, True, id="a_row_of_length_0"),
 ])
 def test_lstm_sequence_matches_tape_oracle(length, with_mask, with_dropout,
                                            with_extra, with_state):
@@ -238,6 +242,16 @@ def test_lstm_sequence_matches_tape_oracle(length, with_mask, with_dropout,
         assert fused_grads[k] is not None, k
         scale = np.abs(g).max()
         npt.assert_allclose(fused_grads[k], g, rtol=1e-10, atol=1e-10 * scale, err_msg=k)
+
+
+def test_all_ones_mask_is_no_mask_bit_for_bit():
+    p, inputs, _, drop, weights = _oracle_case(20, 5, False, True, True, True)
+    out_ones, grads_ones = _run_with_grads(lstm_sequence, p, inputs, np.ones((3, 5)), drop,
+                                           weights)
+    out_none, grads_none = _run_with_grads(lstm_sequence, p, inputs, None, drop, weights)
+    npt.assert_array_equal(out_ones, out_none)
+    for k, g in grads_none.items():
+        npt.assert_array_equal(grads_ones[k], g, err_msg=k)
 
 
 def test_lstm_sequence_keeps_no_tape_without_grad():
@@ -302,20 +316,31 @@ def test_lstm_sequence_rejects_a_mask_with_gaps():
 
 def test_encoder_normalizes_real_steps_only(monkeypatch):
     from strokeseg import recurrent
-    from strokeseg.vae import VaeConfig, VaeModel, encoder_feature
+    from strokeseg.vae import VaeConfig, VaeModel, encode, encoder_feature
 
-    step_rows = []
-    norm_forward = recurrent._norm_forward
+    step_rows = {"_norm_forward": [], "_norm_backward": []}
 
-    def counting(v):
-        if v.ndim == 4:  # the gate blocks of one step: (cells, rows, 4, H)
-            step_rows.append(v.shape[0] * v.shape[1])
-        return norm_forward(v)
+    def counting(name):
+        norm = getattr(recurrent, name)
 
-    monkeypatch.setattr(recurrent, "_norm_forward", counting)
+        def counted(v, *rest):
+            if v.ndim == 4:  # the gate blocks of one step: (cells, rows, 4, H)
+                step_rows[name].append(v.shape[0] * v.shape[1])
+            return norm(v, *rest)
+        return counted
+
+    for name in step_rows:
+        monkeypatch.setattr(recurrent, name, counting(name))
     rng = np.random.default_rng(14)
     m = VaeModel.init(VaeConfig(enc_hidden=4, dec_hidden=8, num_mixtures=2, latent_size=3,
                                 batch_size=4), rng)
     mask = np.arange(7) < np.array([2, 7, 0, 5])[:, None]
-    encoder_feature(m, rng.standard_normal((4, 7, 5)) * mask[:, :, None], mask)
-    assert sum(step_rows) == 2 * mask.sum()
+    seq = rng.standard_normal((4, 7, 5)) * mask[:, :, None]
+    encoder_feature(m, seq, mask)
+    assert sum(step_rows["_norm_forward"]) == 2 * mask.sum()
+    assert step_rows["_norm_backward"] == []
+
+    # backpropagation through time computes the same real steps only
+    mu, sigma_hat = encode(m, seq, mask, params=m.tensors(requires_grad=True))
+    (mu.sum() + sigma_hat.sum()).backward()
+    assert sum(step_rows["_norm_backward"]) == 2 * mask.sum()
