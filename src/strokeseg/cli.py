@@ -1,10 +1,12 @@
 """Batch command-line front end.
 
 Subcommands: preprocess, train-vae, reconstruct, train-seg, eval-seg,
-render, rerun. Every run writes a manifest.json recording the argument
-vector, config, input checksums, and seed; `rerun` checks the inputs
-against the recorded checksums, then replays the manifest into a fresh
-output directory and reproduces reports and loss curves byte for byte.
+render, rerun. A command checks its flags, reads its inputs, only then
+creates its output directory, and returns (output directory, config,
+inputs, outputs); `main` times the run and writes its manifest.json with
+the argument vector, seed and input checksums. `rerun` checks a manifest's
+inputs against their checksums, then replays its argv through `main` into a
+fresh output directory, reproducing reports and loss curves byte for byte.
 """
 
 from __future__ import annotations
@@ -86,33 +88,30 @@ def _write_loss_csv(path: Path, history) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _emit_manifest(out_dir: Path, command: str, argv: list, config: dict,
-                   inputs: list, seed: int, outputs: list, started: float) -> None:
-    manifest = RunManifest(
-        command=command,
-        argv=list(argv),
-        config=config,
-        input_checksums={str(p): sha256_file(p) for p in inputs},
-        seed=seed,
-        outputs=[str(o) for o in outputs],
-        timings={"wall_seconds": round(time.monotonic() - started, 3)},
-    )
-    write_manifest(out_dir / "manifest.json", manifest)
-
-
 def _require_not_negative(flag: str, value) -> None:
     if not value >= 0:  # also true for NaN
         raise ValueError(f"{flag} must be at least 0, got {value}")
 
 
-def cmd_preprocess(args, argv) -> int:
-    started = time.monotonic()
+def _read_data(path: str):
+    """Resolve and parse a --data file: (resolved path, sketches, annotated)."""
+    data = _resolve_data(path)
+    sketches, annotated = _detect_and_parse(data)
+    if not sketches:
+        raise ValueError(f"no sketches in {data}")
+    return data, sketches, annotated
+
+
+def _out_dir(path) -> Path:
+    """Create a command's output directory; call it once its inputs are checked."""
+    Path(path).mkdir(parents=True, exist_ok=True)
+    return Path(path)
+
+
+def cmd_preprocess(args):
     _require_not_negative("--epsilon", args.epsilon)
     _require_not_negative("--min-len", args.min_len)
-    data = _resolve_data(args.data)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    sketches, _ = _detect_and_parse(data)
+    data, sketches, _ = _read_data(args.data)
     kept, skipped = [], 0
     for sk in sketches:
         try:
@@ -120,23 +119,20 @@ def cmd_preprocess(args, argv) -> int:
                                           min_length=args.min_len))
         except ValueError:
             skipped += 1
+    out_dir = _out_dir(args.out)
     out_file = out_dir / "preprocessed.ndjson"
     write_sketches(out_file, kept)
     if skipped:
         print(f"skipped {skipped} degenerate sketch(es)", file=sys.stderr)
-    _emit_manifest(out_dir, "preprocess", argv, {
-        "epsilon": args.epsilon, "min_len": args.min_len}, [data],
-        args.seed, [out_file], started)
-    return 0
+    return out_dir, {"epsilon": args.epsilon, "min_len": args.min_len}, [data], [out_file]
 
 
-def cmd_train_vae(args, argv) -> int:
-    started = time.monotonic()
+def cmd_train_vae(args):
     _require_not_negative("--epochs", args.epochs)
-    data = _resolve_data(args.data)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    sketches, _ = _detect_and_parse(data)
+    if args.config and args.resume:
+        raise ValueError("--config and --resume exclude each other: "
+                         "a resumed run keeps its checkpoint's config")
+    data, sketches, _ = _read_data(args.data)
     rng = np.random.default_rng(args.seed)
     if args.resume:
         model, adam_state = load_checkpoint(args.resume)
@@ -144,36 +140,33 @@ def cmd_train_vae(args, argv) -> int:
         config = _load_vae_config(args.config)
         model = VaeModel.init(config, rng)
         adam_state = AdamState()
-    ckpt_dir = out_dir / "checkpoints"
+    out_dir = Path(args.out)
+    ckpt_dir = _out_dir(out_dir / "checkpoints")
     history = []
     if args.epochs > 0:
         model, history = train(model, sketches, args.epochs, rng,
                                checkpoint_dir=ckpt_dir, adam_state=adam_state)
-    else:
-        ckpt_dir.mkdir(parents=True, exist_ok=True)
     final = ckpt_dir / "final.npz"
     save_checkpoint(final, model, adam_state)
     loss_csv = out_dir / "loss.csv"
     _write_loss_csv(loss_csv, history)
     inputs = [data] + [Path(p) for p in (args.config, args.resume) if p]
-    _emit_manifest(out_dir, "train-vae", argv, model.config.to_dict(),
-                   inputs, args.seed, [final, loss_csv], started)
-    return 0
+    return out_dir, model.config.to_dict(), inputs, [final, loss_csv]
 
 
-def cmd_reconstruct(args, argv) -> int:
-    started = time.monotonic()
-    taus = [float(t) for t in args.tau.split(",") if t]
+def cmd_reconstruct(args):
+    try:
+        taus = [float(t) for t in args.tau.split(",") if t]
+    except ValueError as e:
+        raise ValueError(f"--tau: {e}") from None
     if not taus:
         raise ValueError("--tau needs at least one value")
     for tau in taus:
         if not 0.0 < tau <= 1.0:
             raise ValueError(f"--tau values must be in (0, 1], got {tau}")
-    data = _resolve_data(args.data)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    data, sketches, _ = _read_data(args.data)
     model, _ = load_checkpoint(args.checkpoint)
-    sketches, _ = _detect_and_parse(data)
+    out_dir = _out_dir(args.out)
     rng = np.random.default_rng(args.seed)
     outputs = []
     for i, sk in enumerate(sketches):
@@ -183,9 +176,7 @@ def cmd_reconstruct(args, argv) -> int:
         path = out_dir / f"recon_{i:04d}.svg"
         path.write_text(render_grid(panels), encoding="utf-8")
         outputs.append(path)
-    _emit_manifest(out_dir, "reconstruct", argv, model.config.to_dict(),
-                   [data, Path(args.checkpoint)], args.seed, outputs, started)
-    return 0
+    return out_dir, model.config.to_dict(), [data, Path(args.checkpoint)], outputs
 
 
 def _seg_feature_fn(variant: str, encoder: VaeModel | None):
@@ -233,17 +224,13 @@ def _confusion_dict(report) -> dict:
             for i, t in enumerate(report.classes)}
 
 
-def _run_segmentation(args, argv, command: str) -> int:
-    started = time.monotonic()
+def cmd_segmentation(args):
     sizes = [s for s in (args.train_sizes or "").split(",") if s]
     bad = [s for s in sizes if not s.strip().isdecimal() or int(s) < 1]
     if bad:
         raise ValueError(f"--train-sizes needs positive integers, got {bad[0]!r}")
     _require_not_negative("--epochs", args.epochs)
-    data = _resolve_data(args.data)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    sketches, annotated = _detect_and_parse(data)
+    data, sketches, annotated = _read_data(args.data)
     if not annotated:
         raise ValueError("segmentation needs annotated data with labels")
     category = args.category or sketches[0].category
@@ -256,8 +243,8 @@ def _run_segmentation(args, argv, command: str) -> int:
     encoder = None
     inputs = [data]
     if args.encoder:
-        encoder = load_checkpoint(_resolve_data(args.encoder))[0]
         inputs.append(_resolve_data(args.encoder))
+        encoder = load_checkpoint(inputs[-1])[0]
     feature_fn = _seg_feature_fn(args.feature, encoder)
     config = SegConfig(epochs=args.epochs)
     rng = np.random.default_rng(args.seed)
@@ -265,7 +252,7 @@ def _run_segmentation(args, argv, command: str) -> int:
                             _seg_train_fn(feature_fn, classes, config),
                             rng, classes=classes)
     payload = {
-        "command": command,
+        "command": args.command,
         "category": category,
         "feature": args.feature,
         "encoder": args.encoder,
@@ -287,8 +274,9 @@ def _run_segmentation(args, argv, command: str) -> int:
                 "fold_accuracies": size_report.fold_accuracies,
             }
         payload["train_sizes"] = sweep
+    out_dir = _out_dir(args.out)
     outputs = []
-    if command == "train-seg":
+    if args.command == "train-seg":
         feats, labels = _seg_dataset(sketches, feature_fn, classes)
         final = train_segmenter(feats, labels, classes, config,
                                 np.random.default_rng(args.seed))
@@ -303,38 +291,34 @@ def _run_segmentation(args, argv, command: str) -> int:
     report_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                            encoding="utf-8")
     outputs.append(report_path)
-    _emit_manifest(out_dir, command, argv, config.to_dict(), inputs,
-                   args.seed, outputs, started)
-    return 0
+    return out_dir, config.to_dict(), inputs, outputs
 
 
-def cmd_render(args, argv) -> int:
-    started = time.monotonic()
-    data = _resolve_data(args.data)
-    sketches, annotated = _detect_and_parse(data)
+def cmd_render(args):
+    data, sketches, annotated = _read_data(args.data)
     if not 0 <= args.index < len(sketches):
         raise ValueError(f"--index {args.index} out of range")
     sk = sketches[args.index]
     classes = CATEGORY_CLASSES.get(sk.category) if annotated else None
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    _out_dir(out.parent)
     out.write_text(render_sketch(sk, classes=classes), encoding="utf-8")
-    _emit_manifest(out.parent, "render", argv, {"index": args.index},
-                   [data], args.seed, [out], started)
-    return 0
+    return out.parent, {"index": args.index}, [data], [out]
 
 
-def cmd_rerun(args, argv) -> int:
+def _replay_argv(args) -> list:
+    """The recorded argv of a manifest whose inputs are unchanged, writing to --out."""
     manifest = read_manifest(args.manifest)
     for path, digest in manifest.input_checksums.items():
         if sha256_file(path) != digest:  # a missing input raises OSError
             raise ValueError(f"input {path} changed since {args.manifest} was recorded")
     replay = list(manifest.argv)
     if "--out" in replay:
-        replay[replay.index("--out") + 1] = args.out
+        i = replay.index("--out") + 1
+        replay[i:i + 1] = [args.out]  # also when a hand-edited argv ends in --out
     else:
         replay += ["--out", args.out]
-    return main(replay)
+    return replay
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,40 +327,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stroke-level sketch VAE, segmentation, and baselines.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
+    def command(name, help, fn, data_help=None, out_help="output directory"):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--data", required=True, help=data_help)
         p.add_argument("--seed", type=int, default=0,
                        help="rng seed (default 0; all commands are seeded)")
-        p.add_argument("--out", required=out_required, help="output directory")
+        p.add_argument("--out", required=True, help=out_help)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("preprocess", help="normalize, resample, simplify")
-    p.add_argument("--data", required=True)
+    p = command("preprocess", "normalize, resample, simplify", cmd_preprocess)
     p.add_argument("--epsilon", type=float, default=2.0,
                    help="polyline simplification tolerance (px)")
     p.add_argument("--min-len", type=float, default=15.0,
                    help="minimum stroke arc length (px)")
-    common(p)
-    p.set_defaults(fn=cmd_preprocess)
 
-    p = sub.add_parser("train-vae", help="train the stroke VAE")
-    p.add_argument("--data", required=True)
+    p = command("train-vae", "train the stroke VAE", cmd_train_vae)
     p.add_argument("--config", default=None,
                    help="JSON or key=value file overriding model defaults")
     p.add_argument("--epochs", type=int, default=1)
-    p.add_argument("--resume", default=None, help="checkpoint to continue from")
-    common(p)
-    p.set_defaults(fn=cmd_train_vae)
+    p.add_argument("--resume", default=None,
+                   help="checkpoint to continue from (keeps its config)")
 
-    p = sub.add_parser("reconstruct", help="render reconstruction grids")
+    p = command("reconstruct", "render reconstruction grids", cmd_reconstruct)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
     p.add_argument("--tau", default="0.01,0.5,1.0",
                    help="comma-separated temperatures")
-    common(p)
-    p.set_defaults(fn=cmd_reconstruct)
 
     for name in ("train-seg", "eval-seg"):
-        p = sub.add_parser(name, help="stroke segmentation with 5-fold CV")
-        p.add_argument("--data", required=True, help="annotated sketches")
+        p = command(name, "stroke segmentation with 5-fold CV", cmd_segmentation,
+                    data_help="annotated sketches")
         p.add_argument("--encoder", default=None,
                        help="encoder checkpoint (any category)")
         p.add_argument("--category", default=None)
@@ -387,32 +367,34 @@ def build_parser() -> argparse.ArgumentParser:
                        help="MLP epoch budget (early stopping may end sooner)")
         p.add_argument("--train-sizes", default=None,
                        help="comma-separated sweep of training-set sizes")
-        common(p)
-        p.set_defaults(fn=lambda a, v, _n=name: _run_segmentation(a, v, _n))
 
-    p = sub.add_parser("render", help="render one sketch to SVG")
-    p.add_argument("--data", required=True)
+    p = command("render", "render one sketch to SVG", cmd_render,
+                out_help="output SVG path")
     p.add_argument("--index", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="output SVG path")
-    p.set_defaults(fn=cmd_render)
 
     p = sub.add_parser("rerun", help="replay a recorded run")
     p.add_argument("manifest")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_rerun)
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.fn(args, argv)
+        if args.command == "rerun":
+            return main(_replay_argv(args))
+        out_dir, config, inputs, outputs = args.fn(args)
+        write_manifest(out_dir / "manifest.json", RunManifest(
+            command=args.command, argv=argv, config=config, seed=args.seed,
+            input_checksums={str(p): sha256_file(p) for p in inputs},
+            outputs=[str(o) for o in outputs],
+            timings={"wall_seconds": round(time.monotonic() - started, 3)}))
     except (ValueError, OSError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

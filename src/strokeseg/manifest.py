@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 __all__ = ["RunManifest", "sha256_file", "write_manifest", "read_manifest"]
@@ -47,5 +47,18 @@ def write_manifest(path, manifest: RunManifest) -> None:
 
 
 def read_manifest(path) -> RunManifest:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a manifest that `rerun` can replay, or raise a ValueError naming `path`."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path} is not JSON: {e}") from None
+    keys = sorted(f.name for f in fields(RunManifest))
+    if not isinstance(data, dict) or sorted(data) != keys:
+        raise ValueError(f"{path} is not a run manifest: it needs exactly the keys {keys}")
+    argv = data["argv"]
+    if not (isinstance(argv, list) and argv and argv[0] == data["command"]
+            and all(isinstance(a, str) for a in argv)):
+        raise ValueError(f"{path}: argv must be a list of strings starting with its command")
+    if not isinstance(data["input_checksums"], dict):
+        raise ValueError(f"{path}: input_checksums must be an object")
     return RunManifest(**data)

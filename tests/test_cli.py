@@ -9,7 +9,7 @@ import pytest
 
 from strokeseg.checkpoint import load_checkpoint
 from strokeseg.cli import LOSS_COLUMNS, main
-from strokeseg.manifest import read_manifest
+from strokeseg.manifest import read_manifest, sha256_file
 from strokeseg.sketch import parse_annotated, parse_quickdraw, write_sketches
 
 from synthdata import chairs
@@ -361,6 +361,7 @@ def test_seg_rejects_bad_arguments_before_computing_features(
     ("reconstruct", "--tau", "0.5,2", "2.0"),
     ("reconstruct", "--tau", "0", "0.0"),
     ("reconstruct", "--tau", "nan", "nan"),
+    ("reconstruct", "--tau", "0.5,abc", "'abc'"),
 ])
 def test_rejects_bad_arguments_before_reading_data(raw_file, tmp_path, monkeypatch, capsys,
                                                    command, flag, value, named):
@@ -376,6 +377,36 @@ def test_rejects_bad_arguments_before_reading_data(raw_file, tmp_path, monkeypat
     assert len(err) == 1 and err[0].startswith(f"error: {flag}")
     assert err[0].endswith(named)
     assert calls == []
+    assert not out.exists()
+
+
+def test_train_vae_refuses_config_with_resume(raw_file, config_file, tmp_path,
+                                              monkeypatch, capsys):
+    import strokeseg.cli as cli
+    calls = []
+    monkeypatch.setattr(cli, "_detect_and_parse", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "load_checkpoint", lambda *args: calls.append(args))
+    out = tmp_path / "out"
+    assert main(["train-vae", "--data", str(raw_file), "--resume", "model.npz",
+                 "--config", str(config_file), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "--config" in err[0] and "--resume" in err[0]
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["preprocess", "train-vae", "reconstruct", "eval-seg",
+                                     "render"])
+def test_empty_data_file_is_one_error_line(tmp_path, capsys, command):
+    empty = tmp_path / "empty.ndjson"
+    empty.write_text("", encoding="utf-8")
+    out = tmp_path / "out"
+    checkpoint = ["--checkpoint", "model.npz"] if command == "reconstruct" else []
+    assert main([command, "--data", str(empty), *checkpoint,
+                 "--out", str(out / "x.svg" if command == "render" else out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: no sketches in {empty}"]
     assert not out.exists()
 
 
@@ -505,3 +536,73 @@ def test_missing_data_file_exits_nonzero(tmp_path, capsys):
                "--out", str(tmp_path / "x.svg")])
     assert rc == 1
     assert "cannot find data file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["preprocess", "train-vae", "reconstruct", "train-seg",
+                                     "eval-seg", "render"])
+def test_every_run_records_a_manifest_that_rerun_reproduces(raw_file, annotated_file,
+                                                             config_file, tmp_path, command):
+    main(["train-vae", "--data", str(raw_file), "--config", str(config_file),
+          "--epochs", "0", "--out", str(tmp_path / "enc")])
+    ckpt = str(tmp_path / "enc" / "checkpoints" / "final.npz")
+    argv = {
+        "preprocess": ["--data", str(raw_file), "--epsilon", "1.5"],
+        "train-vae": ["--data", str(raw_file), "--config", str(config_file), "--epochs", "1"],
+        "reconstruct": ["--checkpoint", ckpt, "--data", str(raw_file), "--tau", "0.5"],
+        "train-seg": ["--data", str(annotated_file), "--feature", "nn", "--encoder", ckpt,
+                      "--folds", "3", "--epochs", "2"],
+        "eval-seg": ["--data", str(annotated_file), "--feature", "idm", "--folds", "3",
+                     "--epochs", "2", "--train-sizes", "2"],
+        "render": ["--data", str(annotated_file), "--index", "1"],
+    }[command]
+    runs = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        target = str(out / "sketch.svg" if command == "render" else out)
+        if name == "first":
+            argv = [command, *argv, "--seed", "4", "--out", target]
+            assert main(argv) == 0
+        else:
+            assert main(["rerun", str(tmp_path / "first" / "manifest.json"),
+                         "--out", target]) == 0
+        manifest = read_manifest(out / "manifest.json").to_dict()
+        assert manifest["command"] == manifest["argv"][0] == command
+        assert manifest["argv"] == argv[:-1] + [target]
+        assert manifest["input_checksums"]
+        for path, digest in manifest["input_checksums"].items():
+            assert sha256_file(path) == digest
+        assert manifest["outputs"] and all(Path(o).exists() for o in manifest["outputs"])
+        assert manifest.pop("timings")["wall_seconds"] >= 0
+        manifest["argv"] = manifest["argv"][:-1]
+        manifest["outputs"] = [str(Path(o).relative_to(out)) for o in manifest["outputs"]]
+        runs.append(manifest)
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("damage", ["not_json", "extra_key", "missing_key", "array",
+                                    "argv_empty", "argv_not_a_list", "argv_not_strings",
+                                    "argv_other_command", "checksums_not_an_object"])
+def test_malformed_manifest_is_one_error_line(raw_file, tmp_path, capsys, damage):
+    first = tmp_path / "first"
+    assert main(["preprocess", "--data", str(raw_file), "--out", str(first)]) == 0
+    data = json.loads((first / "manifest.json").read_text(encoding="utf-8"))
+    if damage == "extra_key":
+        data["note"] = "hand-edited"
+    elif damage == "missing_key":
+        del data["timings"]
+    elif damage == "array":
+        data = [data]
+    elif damage == "checksums_not_an_object":
+        data["input_checksums"] = list(data["input_checksums"])
+    elif damage.startswith("argv"):
+        data["argv"] = {"argv_empty": [], "argv_not_a_list": "preprocess",
+                        "argv_not_strings": ["preprocess", "--data", 3],
+                        "argv_other_command": ["render", *data["argv"][1:]]}[damage]
+    bad = tmp_path / "bad.json"
+    bad.write_text("{" if damage == "not_json" else json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    second = tmp_path / "second"
+    assert main(["rerun", str(bad), "--out", str(second)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(bad) in err[0]
+    assert not second.exists()
