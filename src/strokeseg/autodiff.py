@@ -5,6 +5,13 @@ heads and small MLPs: broadcasting arithmetic, matmul, a few activations,
 reductions, slicing and concatenation. Non-Tensor operands (floats,
 ndarrays) are treated as constants, so masks and data batches never grow
 the tape. Everything runs in float64.
+
+A graph backpropagates once. `backward()` frees the tape as it goes: once
+an interior node has passed its gradient on, its `.grad` is dropped and its
+closure, with the activations it held, is replaced by one that raises, so a
+second `backward()` through any node of a graph already run raises
+RuntimeError before it touches a gradient. Only leaves (and the root) keep
+`.grad`; the `_parents` links stay, so the graph can still be walked.
 """
 
 from __future__ import annotations
@@ -22,6 +29,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
         if dim == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
+
+
+_SPENT_MESSAGE = "backward() already ran through this graph"
+
+
+def _spent(grad) -> None:
+    """The closure of a node whose backward has run: its activations are gone."""
+    raise RuntimeError(_SPENT_MESSAGE)
 
 
 class Tensor:
@@ -60,12 +75,15 @@ class Tensor:
         return self
 
     def backward(self, grad=None) -> None:
-        """Backpropagate from this node; leaf gradients land in `.grad`."""
+        """Backpropagate from this node; leaf gradients land in `.grad`.
+
+        Each interior node drops its gradient and closure once it has run,
+        so the graph can be backpropagated only once.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without an explicit gradient needs a scalar")
             grad = np.ones_like(self.data)
-        self.grad = np.asarray(grad, dtype=np.float64).reshape(self.data.shape)
 
         topo: list[Tensor] = []
         visited: set[int] = set()
@@ -77,14 +95,22 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _spent:
+                raise RuntimeError(_SPENT_MESSAGE)
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
+        self.grad = np.asarray(grad, dtype=np.float64).reshape(self.data.shape)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+            if node._backward is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._backward = _spent
+            if node is not self:
+                node.grad = None
 
     # ---- arithmetic ----
 

@@ -318,11 +318,23 @@ def _replay_argv(args) -> list:
         replay[i:i + 1] = [args.out]  # also when a hand-edited argv ends in --out
     else:
         replay += ["--out", args.out]
+    try:
+        build_parser(_RecordedArgvParser).parse_args(replay)
+    except ValueError as e:
+        raise ValueError(f"{args.manifest}: argv is not a valid command line: {e}") from None
     return replay
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _RecordedArgvParser(argparse.ArgumentParser):
+    """Raises ValueError on a bad command line where argparse would print
+    its usage and exit 2; its subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser = parser_class(
         prog="strokeseg",
         description="Stroke-level sketch VAE, segmentation, and baselines.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -259,11 +259,14 @@ def lstm_sequence(p, xs, mask: np.ndarray | None = None,
         # upstream is dc_new for i, f, g and dh_new for o. coef needs no
         # upstream gradient, so it is computed for all steps at once; each
         # step then scales its slice in place, which leaves the gate
-        # gradients in coef for the gain and bias sums after the loop.
+        # gradients in coef for the gain and bias sums after the loop. The
+        # backward runs once (the tape then drops it), so it writes into the
+        # activation buffers it has finished with instead of new temporaries.
         grad = with_dirs(grad)
         hc_prev = pack(hc[:, :-1])
         i_all, f_all, g_all, o_all = (gates[:, :, k] for k in range(4))
-        coef = gates * (1.0 - gates)
+        coef = np.subtract(1.0, gates)
+        coef *= gates
         coef[:, :, 2] = 1.0 - g_all * g_all
         if drop is None:
             coef[:, :, 0] *= g_all
@@ -275,14 +278,18 @@ def lstm_sequence(p, xs, mask: np.ndarray | None = None,
         coef[:, :, 1] *= hc_prev[:, :, n:]
         coef[:, :, 3] *= tanh_c
         # Likewise for the cell-state layer norm's output, scaled by dh_new.
-        coef_c = o_all * (1.0 - tanh_c * tanh_c)
+        coef_c = np.multiply(tanh_c, tanh_c, out=tanh_c)
+        np.subtract(1.0, coef_c, out=coef_c)
+        coef_c *= o_all
 
         # Every row's state at step t is in the output there, so every row
         # takes that step's gradient; a row that has ended only carries it.
         # Gathering it per step keeps no sorted copy of the whole gradient.
         dh, dc = np.zeros((dirs, bsz, n)), np.zeros((dirs, bsz, n))
         wh_t = wh.transpose(0, 2, 1)
-        d_pre = np.empty((dirs, real, 4 * n))
+        # each step's gates are read for the last time just before its
+        # pre-activation gradient takes their place
+        d_pre = gates.reshape(dirs, real, 4 * n)
         for t in range(length - 1, -1, -1):
             a, lo, hi = steps[t]
             upstream = grad[:, order, t]
@@ -297,9 +304,9 @@ def lstm_sequence(p, xs, mask: np.ndarray | None = None,
             d_act[:, :, 3] *= dh_new
             da = _norm_backward(d_act * g4[:, None], norm[:, lo:hi],
                                 rstd[:, lo:hi]).reshape(dirs, a, 4 * n)
-            d_pre[:, lo:hi] = da
             dh[:, :a] = da @ wh_t
             dc[:, :a] = dc_new * f_all[:, lo:hi]
+            d_pre[:, lo:hi] = da
 
         if extra is not None:
             # per-row sums of the real steps' gradients, in step order
@@ -322,9 +329,9 @@ def lstm_sequence(p, xs, mask: np.ndarray | None = None,
             d_wx,
             lambda: hc_prev[:, :, :n][:, in_input_order].transpose(0, 2, 1) @ d_pre_io,
             lambda: d_pre_io.sum(axis=1),
-            lambda: (coef * norm)[:, in_input_order].sum(axis=1),
+            lambda: np.multiply(coef, norm, out=norm)[:, in_input_order].sum(axis=1),
             lambda: coef[:, in_input_order].sum(axis=1),
-            lambda: (coef_c * norm_c)[:, in_input_order].sum(axis=1),
+            lambda: np.multiply(coef_c, norm_c, out=norm_c)[:, in_input_order].sum(axis=1),
             lambda: coef_c[:, in_input_order].sum(axis=1),
         )
         for k, compute in enumerate(weight_grads):

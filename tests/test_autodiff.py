@@ -5,8 +5,9 @@ import numpy.testing as npt
 import pytest
 
 from strokeseg.autodiff import Tensor, as_tensor, concat, log_softmax, logsumexp
+from strokeseg.recurrent import LstmParams, lstm_sequence
 from oracles import numeric_gradient, softmax_ref
-from tape_lstm import sigmoid
+from tape_lstm import count_tape_nodes, sigmoid
 
 
 def test_add_mul_closed_form_gradients():
@@ -187,3 +188,80 @@ def test_backward_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _topo(root):
+    """Every node backward() visits from `root`, each after its parents."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents if p.requires_grad)
+    return order
+
+
+def _backward_keeping_tape(root):
+    """The same pass with nothing freed: every closure runs once, in the
+    same order, and every node keeps its gradient."""
+    root.grad = np.ones_like(root.data)
+    for node in reversed(_topo(root)):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+def _mlp_graph():
+    rng = np.random.default_rng(7)
+    w1, b1, w2, b2 = (Tensor(rng.standard_normal(s), requires_grad=True)
+                      for s in ((3, 5), (5,), (5, 2), (2,)))
+    h = (Tensor(rng.standard_normal((4, 3))) @ w1 + b1).tanh()
+    targets = as_tensor(np.eye(2)[[0, 1, 1, 0]])
+    loss = (log_softmax(h @ w2 + b2, axis=-1) * targets).sum() + (h * h).mean()
+    return loss, [w1, b1, w2, b2]
+
+
+def _lstm_graph():
+    rng = np.random.default_rng(8)
+    cell = LstmParams.from_dict({k: Tensor(v, requires_grad=True) for k, v in
+                                 LstmParams.init(3, 4, rng).to_dict("c").items()}, "c")
+    xs = Tensor(rng.standard_normal((3, 5, 3)), requires_grad=True)
+    mask = np.arange(5) < np.array([5, 2, 4])[:, None]
+    out = lstm_sequence(cell, xs, mask=mask, dropout_mask=(rng.random((3, 4)) < 0.7) / 0.7)
+    loss = (out * rng.standard_normal(out.shape)).sum()
+    return loss, [*cell.to_dict("c").values(), xs]
+
+
+@pytest.mark.parametrize("build", [_mlp_graph, _lstm_graph], ids=["mlp", "lstm_sequence"])
+def test_backward_frees_the_tape_and_keeps_leaf_gradients(build):
+    loss, leaves = build()
+    nodes = count_tape_nodes(loss)
+    loss.backward()
+    assert count_tape_nodes(loss) == nodes
+    interior = [node for node in _topo(loss) if node._parents and node is not loss]
+    assert interior
+    for node in interior:
+        assert node.grad is None
+        assert node._backward.__closure__ is None  # it holds no activations
+    ref_loss, ref_leaves = build()
+    _backward_keeping_tape(ref_loss)
+    for leaf, ref in zip(leaves, ref_leaves):
+        assert leaf.grad is not None
+        npt.assert_array_equal(leaf.grad, ref.grad)
+
+
+def test_backward_runs_once_through_a_graph():
+    x = Tensor(np.array([0.5, -1.0]), requires_grad=True)
+    h = (x * x).tanh()
+    loss = h.sum()
+    loss.backward()
+    grad = x.grad.copy()
+    with pytest.raises(RuntimeError, match="already ran"):
+        loss.backward()
+    other = (h * 3.0).sum()  # a second root over the interior node h
+    with pytest.raises(RuntimeError, match="already ran"):
+        other.backward()
+    npt.assert_array_equal(x.grad, grad)
+    assert other.grad is None

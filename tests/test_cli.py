@@ -581,7 +581,8 @@ def test_every_run_records_a_manifest_that_rerun_reproduces(raw_file, annotated_
 
 @pytest.mark.parametrize("damage", ["not_json", "extra_key", "missing_key", "array",
                                     "argv_empty", "argv_not_a_list", "argv_not_strings",
-                                    "argv_other_command", "checksums_not_an_object"])
+                                    "argv_other_command", "argv_unknown_flag",
+                                    "argv_bad_value", "checksums_not_an_object"])
 def test_malformed_manifest_is_one_error_line(raw_file, tmp_path, capsys, damage):
     first = tmp_path / "first"
     assert main(["preprocess", "--data", str(raw_file), "--out", str(first)]) == 0
@@ -597,7 +598,9 @@ def test_malformed_manifest_is_one_error_line(raw_file, tmp_path, capsys, damage
     elif damage.startswith("argv"):
         data["argv"] = {"argv_empty": [], "argv_not_a_list": "preprocess",
                         "argv_not_strings": ["preprocess", "--data", 3],
-                        "argv_other_command": ["render", *data["argv"][1:]]}[damage]
+                        "argv_other_command": ["render", *data["argv"][1:]],
+                        "argv_unknown_flag": [*data["argv"], "--bogus"],
+                        "argv_bad_value": [*data["argv"], "--epsilon", "wide"]}[damage]
     bad = tmp_path / "bad.json"
     bad.write_text("{" if damage == "not_json" else json.dumps(data), encoding="utf-8")
     capsys.readouterr()
